@@ -136,14 +136,3 @@ def expansion_knn(
             break
     return best_ids
 
-
-def brute_force_knn(
-    x: float, y: float, k: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """Exact kNN over raw arrays (ground truth for tests/harness)."""
-    if len(ids) == 0 or k <= 0:
-        return np.empty(0, dtype=np.int64)
-    d = np.hypot(xs - x, ys - y)
-    k = min(k, len(ids))
-    part = np.argpartition(d, k - 1)[:k]
-    return ids[part[np.argsort(d[part], kind="stable")]]

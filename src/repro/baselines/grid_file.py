@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, brute_force_knn
+from repro import workloads
+from repro.baselines.api import SpatialIndex
 from repro.geo import mbr as M
 
 
@@ -73,32 +74,23 @@ class GridFile(SpatialIndex):
         return (xlo + cx * w, ylo + cy * h, xlo + (cx + 1) * w, ylo + (cy + 1) * h)
 
     # ------------------------------------------------------------------
-    def point_query(self, x: float, y: float):
+    def _cell_blocks_of(self, x: float, y: float) -> list[int]:
         cx, cy = self._cell_of(x, y)
-        for i in self.cell_blocks.get(int(cx) * self.nc + int(cy), ()):
-            for b in self.bf.chain(i):
-                pid = b.find(x, y)
-                if pid is not None:
-                    return pid
-        return None
+        return self.cell_blocks.get(int(cx) * self.nc + int(cy), [])
+
+    def point_query(self, x: float, y: float):
+        return self.bf.find(self._cell_blocks_of(x, y), x, y)
 
     def window_query(self, xlo, ylo, xhi, yhi) -> np.ndarray:
         cx0, cy0 = self._cell_of(xlo, ylo)
         cx1, cy1 = self._cell_of(xhi, yhi)
-        out = []
-        for cx in range(int(cx0), int(cx1) + 1):
-            for cy in range(int(cy0), int(cy1) + 1):
-                for i in self.cell_blocks.get(cx * self.nc + cy, ()):
-                    for b in self.bf.chain(i):
-                        m = (
-                            (b.live_xs >= xlo)
-                            & (b.live_xs <= xhi)
-                            & (b.live_ys >= ylo)
-                            & (b.live_ys <= yhi)
-                        )
-                        if m.any():
-                            out.append(b.live_ids[m].copy())
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        blocks = (
+            i
+            for cx in range(int(cx0), int(cx1) + 1)
+            for cy in range(int(cy0), int(cy1) + 1)
+            for i in self.cell_blocks.get(cx * self.nc + cy, ())
+        )
+        return self.bf.scan(blocks, (xlo, ylo, xhi, yhi))[0]
 
     def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
         """Best-first over cells by MINDIST (the paper notes the kNNs may
@@ -115,13 +107,12 @@ class GridFile(SpatialIndex):
             d, cx, cy = heapq.heappop(heap)
             if found >= k and d > kth:
                 break
-            for i in self.cell_blocks.get(cx * self.nc + cy, ()):
-                for b in self.bf.chain(i):
-                    if b.count:
-                        cand_i.append(b.live_ids.copy())
-                        cand_x.append(b.live_xs.copy())
-                        cand_y.append(b.live_ys.copy())
-                        found += b.count
+            ids, xs, ys = self.bf.scan(self.cell_blocks.get(cx * self.nc + cy, ()))
+            if ids.size:
+                cand_i.append(ids)
+                cand_x.append(xs)
+                cand_y.append(ys)
+                found += ids.size
             if found >= k:
                 ax = np.concatenate(cand_x)
                 ay = np.concatenate(cand_y)
@@ -135,9 +126,8 @@ class GridFile(SpatialIndex):
                     )
         if not cand_i:
             return np.empty(0, dtype=np.int64)
-        return brute_force_knn(
-            x, y, k, np.concatenate(cand_i), np.concatenate(cand_x), np.concatenate(cand_y)
-        )
+        xy = np.column_stack([np.concatenate(cand_x), np.concatenate(cand_y)])
+        return workloads.knn_truth(np.concatenate(cand_i), xy, (x, y), k)
 
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
@@ -156,14 +146,10 @@ class GridFile(SpatialIndex):
         self.n_points += 1
 
     def delete(self, x: float, y: float):
-        cx, cy = self._cell_of(x, y)
-        for i in self.cell_blocks.get(int(cx) * self.nc + int(cy), ()):
-            self.bf.charge()
-            pid = self.bf.delete_from(i, x, y)
-            if pid is not None:
-                self.n_points -= 1
-                return pid
-        return None
+        pid = self.bf.remove(self._cell_blocks_of(x, y), x, y)
+        if pid is not None:
+            self.n_points -= 1
+        return pid
 
     # ------------------------------------------------------------------
     @property

@@ -57,44 +57,28 @@ class TreeIndex(SpatialIndex):
         self.root: TNode | None = None
 
     # -- queries -----------------------------------------------------------
-    def point_query(self, x: float, y: float):
+    def _blocks_meeting(self, rect):
+        """Blocks of the leaves whose MBR meets ``rect``, depth first,
+        charging each inner node as it is inspected. A point query and a
+        delete pass the degenerate rectangle ``(x, y, x, y)``: containment
+        descent."""
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                for b in self.bf.chain(node.blk):
-                    pid = b.find(x, y)
-                    if pid is not None:
-                        return pid
-                continue
-            self.bf.charge()
-            hit = M.v_contains_point(node.child_mbrs(), x, y)
-            for i in np.flatnonzero(hit):
-                stack.append(node.children[i])
-        return None
-
-    def window_query(self, xlo, ylo, xhi, yhi) -> np.ndarray:
-        rect = (xlo, ylo, xhi, yhi)
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for b in self.bf.chain(node.blk):
-                    m = (
-                        (b.live_xs >= xlo)
-                        & (b.live_xs <= xhi)
-                        & (b.live_ys >= ylo)
-                        & (b.live_ys <= yhi)
-                    )
-                    if m.any():
-                        out.append(b.live_ids[m].copy())
+                yield node.blk
                 continue
             self.bf.charge()
             hit = M.v_intersects(node.child_mbrs(), rect)
             for i in np.flatnonzero(hit):
                 stack.append(node.children[i])
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+
+    def point_query(self, x: float, y: float):
+        return self.bf.find(self._blocks_meeting((x, y, x, y)), x, y)
+
+    def window_query(self, xlo, ylo, xhi, yhi) -> np.ndarray:
+        rect = (xlo, ylo, xhi, yhi)
+        return self.bf.scan(self._blocks_meeting(rect), rect)[0]
 
     def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
         """Exact best-first search [40]."""
@@ -108,12 +92,9 @@ class TreeIndex(SpatialIndex):
             if len(result) >= k and d > result[k - 1][0]:
                 break
             if node.is_leaf:
-                for b in self.bf.chain(node.blk):
-                    if b.count:
-                        pd = np.hypot(b.live_xs - x, b.live_ys - y)
-                        result.extend(
-                            (float(dd), int(pid)) for dd, pid in zip(pd, b.live_ids)
-                        )
+                ids, xs, ys = self.bf.scan((node.blk,))
+                pd = np.hypot(xs - x, ys - y)
+                result.extend((float(dd), int(pid)) for dd, pid in zip(pd, ids))
                 result.sort()
                 del result[k:]
             else:
@@ -126,21 +107,10 @@ class TreeIndex(SpatialIndex):
 
     # -- updates (shared delete; inserts are index-specific) ---------------
     def delete(self, x: float, y: float):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                self.bf.charge()
-                pid = self.bf.delete_from(node.blk, x, y)
-                if pid is not None:
-                    self.n_points -= 1
-                    return pid
-                continue
-            self.bf.charge()
-            hit = M.v_contains_point(node.child_mbrs(), x, y)
-            for i in np.flatnonzero(hit):
-                stack.append(node.children[i])
-        return None
+        pid = self.bf.remove(self._blocks_meeting((x, y, x, y)), x, y)
+        if pid is not None:
+            self.n_points -= 1
+        return pid
 
     def _insert_descend_min_enlarge(self, x: float, y: float) -> list[TNode]:
         """Root-to-leaf path choosing the child whose MBR needs least

@@ -168,12 +168,7 @@ class ZM(SpatialIndex):
 
     def point_query(self, x: float, y: float):
         z = int(self._to_z(np.array([x]), np.array([y]))[0])
-        for j in self._candidate_blocks(z):
-            for b in self.bf.chain(j):
-                pid = b.find(x, y)
-                if pid is not None:
-                    return pid
-        return None
+        return self.bf.find(self._candidate_blocks(z), x, y)
 
     # ------------------------------------------------------------------
     def _window_pts(self, xlo, ylo, xhi, yhi):
@@ -183,21 +178,7 @@ class ZM(SpatialIndex):
         bh, _, ea = self._predict(zh)
         begin = max(0, min(bl - el, bh))
         end = min(self.nblk - 1, bh + ea)
-        ids, xs, ys = [], [], []
-        for i in range(begin, end + 1):
-            for b in self.bf.chain(i):
-                if b.count:
-                    ids.append(b.live_ids)
-                    xs.append(b.live_xs)
-                    ys.append(b.live_ys)
-        if not ids:
-            e = np.empty(0)
-            return e.astype(np.int64), e, e
-        ids = np.concatenate(ids)
-        xs = np.concatenate(xs)
-        ys = np.concatenate(ys)
-        m = (xs >= xlo) & (xs <= xhi) & (ys >= ylo) & (ys <= yhi)
-        return ids[m], xs[m], ys[m]
+        return self.bf.scan(range(begin, end + 1), (xlo, ylo, xhi, yhi))
 
     def window_query(self, xlo, ylo, xhi, yhi) -> np.ndarray:
         return self._window_pts(xlo, ylo, xhi, yhi)[0]
@@ -233,13 +214,10 @@ class ZM(SpatialIndex):
 
     def delete(self, x: float, y: float):
         z = int(self._to_z(np.array([x]), np.array([y]))[0])
-        for j in self._candidate_blocks(z):
-            self.bf.charge()
-            pid = self.bf.delete_from(j, x, y)
-            if pid is not None:
-                self.n_points -= 1
-                return pid
-        return None
+        pid = self.bf.remove(self._candidate_blocks(z), x, y)
+        if pid is not None:
+            self.n_points -= 1
+        return pid
 
     # ------------------------------------------------------------------
     def max_errors(self) -> tuple[int, int]:

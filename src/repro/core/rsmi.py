@@ -183,6 +183,14 @@ class _Leaf:
         p = self.mlp.predict_one(xn, yn)
         return int(np.clip(round(p * max(1, self.nblk - 1)), 0, self.nblk - 1))
 
+    def search_range(self, x: float, y: float) -> tuple[int, int, int]:
+        """Absolute ids of the predicted block and of the first and last
+        block its error bounds allow for (x, y)."""
+        j = self.predict_block(x, y)
+        lo = max(0, j - self.err_l)
+        hi = min(self.nblk - 1, j + self.err_a)
+        return self.base + j, self.base + lo, self.base + hi
+
 
 class RSMI(SpatialIndex):
     """The learned spatial index, with approximate (paper default) and
@@ -196,7 +204,6 @@ class RSMI(SpatialIndex):
         self.root = None
         self.pmf_x = None
         self.pmf_y = None
-        self.n_inserted_blocks = 0
         self.retired_blocks = 0
         self._leaves: list[_Leaf] = []
 
@@ -299,12 +306,12 @@ class RSMI(SpatialIndex):
     # ------------------------------------------------------------------
     # Descent helpers
     # ------------------------------------------------------------------
-    def _descend(self, x: float, y: float, strict: bool):
-        """Walk to the leaf for (x, y). With ``strict``, a predicted group
-        with no sub-model means the point cannot be indexed -> None; for
-        bound estimation (window corners, inserts) we fall back to the
-        nearest existing group, as the corner is generally not a data
-        point and only brackets the scan range."""
+    def _descend(self, x: float, y: float):
+        """Walk to the leaf for (x, y), the one routing rule of every
+        operation. A predicted group with no sub-model falls back to the
+        nearest existing group: an insert lands there, so a lookup must
+        look there too, and a point that is not indexed is still not found
+        by the error-bounded scan of that leaf."""
         node = self.root
         path = []
         while isinstance(node, _Inner):
@@ -312,29 +319,23 @@ class RSMI(SpatialIndex):
             g = node.route(x, y)
             child = node.children.get(g)
             if child is None:
-                if strict:
-                    return None, path
                 keys = np.fromiter(node.children.keys(), dtype=np.int64)
                 child = node.children[int(keys[np.argmin(np.abs(keys - g))])]
             node = child
         return node, path
 
+    @staticmethod
+    def _error_range(leaf: _Leaf, x: float, y: float):
+        """The blocks of ``leaf``'s error range for (x, y), predicted block
+        first, then outward."""
+        return center_out(*leaf.search_range(x, y))
+
     # ------------------------------------------------------------------
     # Point query (Algorithm 1)
     # ------------------------------------------------------------------
     def point_query(self, x: float, y: float):
-        leaf, _ = self._descend(x, y, strict=True)
-        if leaf is None:
-            return None
-        j = leaf.predict_block(x, y)
-        lo = max(0, j - leaf.err_l)
-        hi = min(leaf.nblk - 1, j + leaf.err_a)
-        for jj in center_out(j, lo, hi):
-            for b in self.bf.chain(leaf.base + jj):
-                pid = b.find(x, y)
-                if pid is not None:
-                    return pid
-        return None
+        leaf, _ = self._descend(x, y)
+        return self.bf.find(self._error_range(leaf, x, y), x, y)
 
     # ------------------------------------------------------------------
     # Window query (Algorithm 2, four-corner Hilbert heuristic)
@@ -342,10 +343,8 @@ class RSMI(SpatialIndex):
     def _corner_bounds(self, xlo, ylo, xhi, yhi) -> tuple[int, int]:
         begin, end = None, None
         for cx, cy in ((xlo, ylo), (xhi, yhi), (xhi, ylo), (xlo, yhi)):
-            leaf, _ = self._descend(cx, cy, strict=False)
-            j = leaf.predict_block(cx, cy)
-            lo = leaf.base + max(0, j - leaf.err_l)
-            hi = leaf.base + min(leaf.nblk - 1, j + leaf.err_a)
+            leaf, _ = self._descend(cx, cy)
+            _, lo, hi = leaf.search_range(cx, cy)
             begin = lo if begin is None else min(begin, lo)
             end = hi if end is None else max(end, hi)
         return begin, end
@@ -354,21 +353,11 @@ class RSMI(SpatialIndex):
         """Candidate points from the block-range scan (before the final
         containment filter); shared by window and kNN paths."""
         begin, end = self._corner_bounds(xlo, ylo, xhi, yhi)
-        ids, xs, ys = [], [], []
-        for i in range(begin, end + 1):
-            for b in self.bf.chain(i):
-                if b.count:
-                    ids.append(b.live_ids)
-                    xs.append(b.live_xs)
-                    ys.append(b.live_ys)
-        if not ids:
-            e = np.empty(0)
-            return e.astype(np.int64), e, e
-        return np.concatenate(ids), np.concatenate(xs), np.concatenate(ys)
+        return self.bf.scan(range(begin, end + 1))
 
     def _window_pts(self, xlo, ylo, xhi, yhi):
         ids, xs, ys = self.window_query_blocks(xlo, ylo, xhi, yhi)
-        m = (xs >= xlo) & (xs <= xhi) & (ys >= ylo) & (ys <= yhi)
+        m = M.v_points_in(xs, ys, (xlo, ylo, xhi, yhi))
         return ids[m], xs[m], ys[m]
 
     def window_query(self, xlo, ylo, xhi, yhi) -> np.ndarray:
@@ -387,7 +376,10 @@ class RSMI(SpatialIndex):
     # ------------------------------------------------------------------
     def window_query_exact(self, xlo, ylo, xhi, yhi) -> np.ndarray:
         rect = (xlo, ylo, xhi, yhi)
-        out = []
+        return self.bf.scan(self._blocks_meeting(rect), rect)[0]
+
+    def _blocks_meeting(self, rect):
+        """Blocks whose MBR meets ``rect``, found by MBR-guided traversal."""
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -397,18 +389,7 @@ class RSMI(SpatialIndex):
                     if M.intersects(child.mbr, rect):
                         stack.append(child)
                 continue
-            hit = np.flatnonzero(M.v_intersects(node.blk_mbrs, rect))
-            for j in hit:
-                for b in self.bf.chain(node.base + int(j)):
-                    m = (
-                        (b.live_xs >= xlo)
-                        & (b.live_xs <= xhi)
-                        & (b.live_ys >= ylo)
-                        & (b.live_ys <= yhi)
-                    )
-                    if m.any():
-                        out.append(b.live_ids[m].copy())
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+            yield from node.base + np.flatnonzero(M.v_intersects(node.blk_mbrs, rect))
 
     def knn_query_exact(self, x: float, y: float, k: int) -> np.ndarray:
         """Best-first search [40] over sub-model and block MBRs."""
@@ -439,11 +420,9 @@ class RSMI(SpatialIndex):
                             heap, (float(dd[j]), cnt, "b", (obj.base + j,))
                         )
             else:
-                for b in self.bf.chain(obj[0]):
-                    if b.count:
-                        pd = np.hypot(b.live_xs - x, b.live_ys - y)
-                        for dist, pid in zip(pd, b.live_ids):
-                            result.append((float(dist), int(pid)))
+                ids, xs, ys = self.bf.scan(obj)
+                pd = np.hypot(xs - x, ys - y)
+                result.extend((float(dd), int(pid)) for dd, pid in zip(pd, ids))
                 result.sort()
                 del result[k:]
         return np.asarray([pid for _, pid in result[:k]], dtype=np.int64)
@@ -452,11 +431,9 @@ class RSMI(SpatialIndex):
     # Updates (Section 5)
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
-        leaf, path = self._descend(x, y, strict=False)
+        leaf, path = self._descend(x, y)
         j = leaf.predict_block(x, y)
-        created = self.bf.insert_into(leaf.base + j, pid, x, y)
-        if created:
-            self.n_inserted_blocks += 1
+        self.bf.insert_into(leaf.base + j, pid, x, y)
         leaf.blk_mbrs[j] = M.expand(leaf.blk_mbrs[j], x, y)
         leaf.mbr = M.expand(leaf.mbr, x, y)
         leaf.n_points += 1
@@ -465,22 +442,14 @@ class RSMI(SpatialIndex):
         self.n_points += 1
 
     def delete(self, x: float, y: float):
-        leaf, _ = self._descend(x, y, strict=True)
-        if leaf is None:
-            return None
-        j = leaf.predict_block(x, y)
-        lo = max(0, j - leaf.err_l)
-        hi = min(leaf.nblk - 1, j + leaf.err_a)
-        for jj in center_out(j, lo, hi):
-            self.bf.charge()
-            pid = self.bf.delete_from(leaf.base + jj, x, y)
-            if pid is not None:
-                leaf.n_points -= 1
-                self.n_points -= 1
-                # MBRs are not shrunk (correct, possibly loose), as in the
-                # paper's "keep error bounds valid" policy.
-                return pid
-        return None
+        leaf, _ = self._descend(x, y)
+        pid = self.bf.remove(self._error_range(leaf, x, y), x, y)
+        if pid is not None:
+            leaf.n_points -= 1
+            self.n_points -= 1
+            # MBRs are not shrunk (correct, possibly loose), as in the
+            # paper's "keep error bounds valid" policy.
+        return pid
 
     # ------------------------------------------------------------------
     # RSMIr periodic rebuild (Section 6.2.5)

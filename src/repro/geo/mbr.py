@@ -28,10 +28,6 @@ def intersects(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
-def contains_point(a, x: float, y: float) -> bool:
-    return a[0] <= x <= a[2] and a[1] <= y <= a[3]
-
-
 def area(a) -> float:
     return max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
 
@@ -54,8 +50,9 @@ def v_intersects(m: np.ndarray, b) -> np.ndarray:
     return (m[:, 0] <= b[2]) & (b[0] <= m[:, 2]) & (m[:, 1] <= b[3]) & (b[1] <= m[:, 3])
 
 
-def v_contains_point(m: np.ndarray, x: float, y: float) -> np.ndarray:
-    return (m[:, 0] <= x) & (x <= m[:, 2]) & (m[:, 1] <= y) & (y <= m[:, 3])
+def v_points_in(xs: np.ndarray, ys: np.ndarray, b) -> np.ndarray:
+    """Mask of the points ``(xs[i], ys[i])`` inside the closed MBR ``b``."""
+    return (xs >= b[0]) & (xs <= b[2]) & (ys >= b[1]) & (ys <= b[3])
 
 
 def v_mindist(m: np.ndarray, x: float, y: float) -> np.ndarray:

@@ -71,27 +71,3 @@ def rank_space_spark(df: DataFrame, x: str = "x", y: str = "y") -> DataFrame:
         "rank_y", F.row_number().over(wy) - F.lit(1)
     )
 
-
-def curve_values_spark(
-    df: DataFrame, curve: str = "hilbert", x: str = "x", y: str = "y"
-) -> DataFrame:
-    """Add a ``cv`` column: rank-space curve value of each point.
-
-    The SFC encoding runs as a vectorised pandas UDF over the ranked
-    frame, so the heavy bit-twiddling stays in numpy per batch.
-    """
-    import pandas as pd  # local import keeps the UDF closure light
-    from pyspark.sql.functions import pandas_udf
-
-    n = df.count()
-    order = sfc.order_for(n)
-
-    @pandas_udf("long")
-    def _cv(rank_x: pd.Series, rank_y: pd.Series) -> pd.Series:
-        vals = sfc.curve_encode(
-            rank_x.to_numpy(), rank_y.to_numpy(), order, curve
-        )
-        return pd.Series(vals)
-
-    ranked = rank_space_spark(df, x, y)
-    return ranked.withColumn("cv", _cv(F.col("rank_x"), F.col("rank_y")))

@@ -9,16 +9,22 @@ tree indices themselves on the same counter via :meth:`charge`.
 
 Insertion support follows Section 5: a new point goes to the block the
 index predicts; when that block is full, a fresh *overflow* block is
-chained after it (marked "inserted", so it is excluded from the learned
-error bounds). Deletion swaps the victim with the last live point of its
-block; blocks are never reclaimed on underflow, preserving error-bound
-validity.
+chained after it (the learned error bounds cover primary blocks only).
+Deletion swaps the victim with the last live point of its block; blocks
+are never reclaimed on underflow, preserving error-bound validity.
+
+Queries never touch blocks directly: an index names the primary blocks to
+visit, in order, and :meth:`BlockFile.find`, :meth:`BlockFile.scan` or
+:meth:`BlockFile.remove` reads, counts and filters their chains.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
+
+from repro.geo import mbr as M
 
 
 @dataclass
@@ -30,7 +36,6 @@ class Block:
     xs: np.ndarray = field(default=None)
     ys: np.ndarray = field(default=None)
     count: int = 0
-    inserted: bool = False  # True for overflow blocks created by inserts
 
     def __post_init__(self) -> None:
         if self.ids is None:
@@ -123,21 +128,56 @@ class BlockFile:
         return base
 
     # -- access-counted reads ---------------------------------------------
-    def read(self, i: int) -> Block:
-        self.accesses += 1
-        return self.blocks[i]
-
     def charge(self, k: int = 1) -> None:
         """Charge ``k`` block accesses for non-data pages (tree nodes)."""
         self.accesses += k
 
     def chain(self, i: int) -> list[Block]:
         """Primary block ``i`` plus overflow chain, each read access-counted."""
-        out = [self.read(i)]
-        for b in self._overflow.get(i, ()):
-            self.accesses += 1
-            out.append(b)
+        out = self.chain_uncounted(i)
+        self.accesses += len(out)
         return out
+
+    def find(self, blocks: Iterable[int], x: float, y: float) -> int | None:
+        """Id of the first point at exactly (x, y), reading the chains of
+        ``blocks`` in the given order and stopping at the hit."""
+        for i in blocks:
+            for b in self.chain(i):
+                pid = b.find(x, y)
+                if pid is not None:
+                    return pid
+        return None
+
+    def scan(
+        self, blocks: Iterable[int], rect=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live ``(ids, xs, ys)`` of the chains of ``blocks``, in order;
+        only those inside the closed ``rect`` when one is given."""
+        ids, xs, ys = [], [], []
+        for i in blocks:
+            for b in self.chain(i):
+                if b.count:
+                    ids.append(b.live_ids)
+                    xs.append(b.live_xs)
+                    ys.append(b.live_ys)
+        if not ids:
+            e = np.empty(0)
+            return e.astype(np.int64), e, e
+        ids, xs, ys = np.concatenate(ids), np.concatenate(xs), np.concatenate(ys)
+        if rect is None:
+            return ids, xs, ys
+        m = M.v_points_in(xs, ys, rect)
+        return ids[m], xs[m], ys[m]
+
+    def remove(self, blocks: Iterable[int], x: float, y: float) -> int | None:
+        """Delete the first point at exactly (x, y) from the chains of
+        ``blocks``, probed in order at one access each; its id, or None."""
+        for i in blocks:
+            self.charge()
+            pid = self.delete_from(i, x, y)
+            if pid is not None:
+                return pid
+        return None
 
     def chain_uncounted(self, i: int) -> list[Block]:
         """Same as :meth:`chain` but free — for building/verification."""
@@ -150,7 +190,7 @@ class BlockFile:
         for b in self.chain_uncounted(i):
             if b.add(pid, x, y):
                 return False
-        nb = Block(self.cap, inserted=True)
+        nb = Block(self.cap)
         nb.add(pid, x, y)
         self._overflow.setdefault(i, []).append(nb)
         return True

@@ -42,8 +42,8 @@ def test_pack_preserves_order():
 def test_read_counts_accesses():
     bf, *_ = _bf()
     assert bf.accesses == 0
-    bf.read(0)
-    bf.read(3)
+    bf.chain(0)
+    bf.chain(3)
     assert bf.accesses == 2
     bf.reset_stats()
     assert bf.accesses == 0
@@ -77,7 +77,7 @@ def test_insert_into_full_creates_overflow():
     assert bf.n_overflow == 1
     assert bf.overflow_len(4) == 1
     chain = bf.chain_uncounted(4)
-    assert len(chain) == 2 and chain[1].inserted
+    assert len(chain) == 2
     assert chain[1].find(0.5, 0.5) == 1000
 
 
@@ -97,6 +97,60 @@ def test_chain_counts_accesses():
     chain = bf.chain(0)
     assert len(chain) == 2
     assert bf.accesses == 2
+
+
+def test_find_reads_in_order_and_stops_at_hit():
+    bf, ids, xs, ys = _bf()
+    assert bf.find([3, 1, 2], float(xs[12]), float(ys[12])) == 12
+    assert bf.accesses == 2  # blocks 3 and 1; block 2 is never read
+    bf.reset_stats()
+    assert bf.find(range(bf.n_primary), -1.0, -1.0) is None
+    assert bf.accesses == bf.n_primary
+
+
+def test_find_reads_overflow_chain():
+    bf, *_ = _bf(10, 10)
+    bf.insert_into(0, 999, 0.5, 0.5)
+    bf.reset_stats()
+    assert bf.find([0], 0.5, 0.5) == 999
+    assert bf.accesses == 2
+
+
+def test_scan_returns_chains_in_order():
+    bf, ids, xs, ys = _bf()
+    bf.insert_into(4, 999, 0.5, 0.5)
+    bf.reset_stats()
+    got_ids, got_xs, got_ys = bf.scan([4, 0])
+    assert got_ids.tolist() == list(range(40, 50)) + [999] + list(range(10))
+    assert got_xs[10] == 0.5 and got_ys[:10].tolist() == ys[40:50].tolist()
+    assert bf.accesses == 3
+
+
+def test_scan_filters_closed_rect():
+    bf, ids, xs, ys = _bf()
+    rect = (float(xs[5]), 0.0, 1.0, float(ys[5]))
+    got, _, _ = bf.scan(range(bf.n_primary), rect)
+    m = (xs >= rect[0]) & (xs <= rect[2]) & (ys >= rect[1]) & (ys <= rect[3])
+    assert got.tolist() == ids[m].tolist() and 5 in got
+    assert bf.accesses == bf.n_primary
+
+
+def test_scan_nothing():
+    bf, *_ = _bf()
+    got_ids, got_xs, got_ys = bf.scan([])
+    assert got_ids.dtype == np.int64 and len(got_ids) == len(got_xs) == len(got_ys) == 0
+    got_ids, _, _ = bf.scan([0], (5.0, 5.0, 6.0, 6.0))
+    assert len(got_ids) == 0
+
+
+def test_remove_charges_once_per_chain_probed():
+    bf, ids, xs, ys = _bf(20, 10)
+    bf.insert_into(0, 999, 0.5, 0.5)
+    bf.reset_stats()
+    assert bf.remove([1, 0], 0.5, 0.5) == 999
+    assert bf.accesses == 2
+    assert bf.remove([1, 0], 0.5, 0.5) is None
+    assert bf.accesses == 4
 
 
 def test_delete_from():

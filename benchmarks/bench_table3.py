@@ -6,8 +6,8 @@ import pytest
 
 from repro import harness
 
-# Paper N values scaled to BENCH_N (40k) by the same 16M ratio used in
-# jobs/table3_n_sweep.py, floored to keep multi-block leaves.
+# Paper N values scaled to BENCH_N (40k) by the 16M ratio, floored to keep
+# multi-block leaves (the table3_n_sweep experiment uses the literal values).
 N_VALUES = (625, 1250, 2500, 5000, 10000)
 
 

@@ -1,28 +1,44 @@
 #!/usr/bin/env python
-"""Run every experiment in the reproduction, sharing built indices.
+"""Run the reproduction's experiments, sharing built indices.
 
-Produces results/*.json — the numbers recorded in EXPERIMENTS.md.
-Run: spark-submit jobs/run_all.py
+Produces results/<name>.json — the numbers recorded in EXPERIMENTS.md.
+Run: spark-submit jobs/run_all.py [name ...]   (no names: every experiment)
 """
-from repro import experiments as E
-from repro.experiments import IndexCache
-from repro.jobs_util import get_spark, run_job
+import os
+import sys
 
-JOBS = [
-    ("table3_n_sweep", E.exp_table3),
-    ("table4_err_bounds", E.exp_table4),
-    ("fig6_7_point_by_dist", E.exp_point_by_dist),
-    ("fig10_window_by_dist", E.exp_window_by_dist),
-    ("fig12_window_by_size", E.exp_window_by_size),
-    ("fig13_window_by_aspect", E.exp_window_by_aspect),
-    ("fig14_knn_by_dist", E.exp_knn_by_dist),
-    ("fig16_knn_by_k", E.exp_knn_by_k),
-    ("fig8_9_11_15_size_sweep", E.exp_size_sweep),
-    ("fig17_19_updates", E.exp_updates),
-]
+from pyspark.sql import SparkSession
+
+from repro.experiments import JOBS, IndexCache, run
+
+
+def get_spark(app: str) -> SparkSession:
+    """Local session mirroring the test conftest config: Arrow on,
+    broadcast joins off."""
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    s = (
+        SparkSession.builder.appName(app)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    s.sparkContext.setLogLevel("ERROR")
+    return s
+
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(JOBS)
+    unknown = [n for n in names if n not in JOBS]
+    if unknown:
+        sys.exit(f"unknown experiment(s): {', '.join(unknown)}\n"
+                 f"valid: {', '.join(JOBS)}")
     cache = IndexCache(get_spark("run_all"))
-    for name, fn in JOBS:
-        run_job(name, fn, cache=cache)
+    for name in names:
+        run(name, cache)
     cache.spark.stop()

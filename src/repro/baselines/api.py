@@ -1,9 +1,12 @@
-"""Common query API for every index in the reproduction, plus the shared
-search-region-expansion kNN algorithm (paper Algorithm 3), which both RSMI
-and ZM use (the paper adapts RSMI's kNN algorithm for ZM, Section 6.2.4).
+"""Common query API for every index in the reproduction, plus the two
+shared kNN algorithms: search-region expansion (paper Algorithm 3), which
+both RSMI and ZM use (the paper adapts RSMI's kNN algorithm for ZM,
+Section 6.2.4), and the exact best-first search [40] of the tree indices,
+Grid and RSMIa.
 """
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterable
 
 import numpy as np
@@ -136,3 +139,33 @@ def expansion_knn(
             break
     return best_ids
 
+
+def best_first_knn(x: float, y: float, k: int, root, expand) -> np.ndarray:
+    """Exact best-first kNN [40], nearest first.
+
+    ``expand(node)`` returns the node's points as ``(ids, xs, ys)`` (or
+    None) and an iterable of ``(mindist, child)`` pairs; it charges the
+    node's accesses. Nodes leave the queue in MINDIST order, ties by push
+    order, until the next one is farther than the k-th nearest point seen.
+    ``root`` None means an empty index.
+    """
+    if root is None or k <= 0:
+        return np.empty(0, dtype=np.int64)
+    cnt = 0
+    heap = [(0.0, cnt, root)]
+    result: list[tuple[float, int]] = []
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if len(result) >= k and d > result[k - 1][0]:
+            break
+        pts, children = expand(node)
+        if pts is not None:
+            ids, xs, ys = pts
+            pd = np.hypot(xs - x, ys - y)
+            result.extend((float(dd), int(pid)) for dd, pid in zip(pd, ids))
+            result.sort()
+            del result[k:]
+        for md, child in children:
+            cnt += 1
+            heapq.heappush(heap, (md, cnt, child))
+    return np.asarray([pid for _, pid in result], dtype=np.int64)

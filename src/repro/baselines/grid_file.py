@@ -8,13 +8,11 @@ why Grid degrades on non-uniform data in the paper's experiments.
 """
 from __future__ import annotations
 
-import heapq
 import time
 
 import numpy as np
 
-from repro import workloads
-from repro.baselines.api import SpatialIndex
+from repro.baselines.api import SpatialIndex, best_first_knn
 from repro.geo import mbr as M
 
 
@@ -93,41 +91,23 @@ class GridFile(SpatialIndex):
         return self.bf.scan(blocks, (xlo, ylo, xhi, yhi))[0]
 
     def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
-        """Best-first over cells by MINDIST (the paper notes the kNNs may
-        spread over multiple cells, making Grid uncompetitive)."""
-        if self.n_points == 0 or k <= 0:
-            return np.empty(0, dtype=np.int64)
-        cx0, cy0 = self._cell_of(x, y)
-        heap = [(0.0, int(cx0), int(cy0))]
-        seen = {(int(cx0), int(cy0))}
-        cand_i, cand_x, cand_y = [], [], []
-        kth = np.inf
-        found = 0
-        while heap:
-            d, cx, cy = heapq.heappop(heap)
-            if found >= k and d > kth:
-                break
-            ids, xs, ys = self.bf.scan(self.cell_blocks.get(cx * self.nc + cy, ()))
-            if ids.size:
-                cand_i.append(ids)
-                cand_x.append(xs)
-                cand_y.append(ys)
-                found += ids.size
-            if found >= k:
-                ax = np.concatenate(cand_x)
-                ay = np.concatenate(cand_y)
-                dd = np.sort(np.hypot(ax - x, ay - y))
-                kth = dd[min(k, len(dd)) - 1]
+        """Best-first over cells by MINDIST, from the query's cell out to
+        its unseen 4-neighbours (the paper notes the kNNs may spread over
+        multiple cells, making Grid uncompetitive)."""
+        start = tuple(int(c) for c in self._cell_of(x, y))
+        seen = {start}
+
+        def expand(cell):
+            cx, cy = cell
+            pts = self.bf.scan(self.cell_blocks.get(cx * self.nc + cy, ()))
+            nbrs = []
             for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
                 if 0 <= nx < self.nc and 0 <= ny < self.nc and (nx, ny) not in seen:
                     seen.add((nx, ny))
-                    heapq.heappush(
-                        heap, (M.mindist(self._cell_rect(nx, ny), x, y), nx, ny)
-                    )
-        if not cand_i:
-            return np.empty(0, dtype=np.int64)
-        xy = np.column_stack([np.concatenate(cand_x), np.concatenate(cand_y)])
-        return workloads.knn_truth(np.concatenate(cand_i), xy, (x, y), k)
+                    nbrs.append((M.mindist(self._cell_rect(nx, ny), x, y), (nx, ny)))
+            return pts, nbrs
+
+        return best_first_knn(x, y, k, start if self.n_points else None, expand)
 
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:

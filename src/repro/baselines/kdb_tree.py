@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from repro.baselines.rtree import TNode, TreeIndex
-from repro.geo import mbr as M
 
 
 class KDBTree(TreeIndex):
@@ -71,10 +70,3 @@ class KDBTree(TreeIndex):
         return self._slabs(ids[li], xy[li], kl, child_cap, dim + 1) + self._slabs(
             ids[ri], xy[ri], k - kl, child_cap, dim + 1
         )
-
-    def insert(self, pid: int, x: float, y: float) -> None:
-        path = self._insert_descend_min_enlarge(x, y)
-        self.bf.insert_into(path[-1].blk, pid, x, y)
-        for node in path:
-            node.mbr = M.expand(node.mbr, x, y)
-        self.n_points += 1

@@ -90,13 +90,16 @@ class RStarTree(TreeIndex):
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
         self._reinsert_done = False
-        split = self._insert(self.root, pid, x, y)
+        self._grow_root(self._insert(self.root, pid, x, y))
+        self.n_points += 1
+
+    def _grow_root(self, split: TNode | None) -> None:
+        """A split root becomes the first child of a new root."""
         if split is not None:
             old = self.root
             self.root = TNode(False)
             self.root.children = [old, split]
             self.root.mbr = M.merge(old.mbr, split.mbr)
-        self.n_points += 1
 
     def _choose_child(self, node: TNode, x: float, y: float) -> TNode:
         mbrs = node.child_mbrs()
@@ -160,12 +163,8 @@ class RStarTree(TreeIndex):
             b.add(int(pts_id[i]), float(pts_x[i]), float(pts_y[i]))
         leaf.recompute_mbr(self.bf)
         for i in re:
-            split = self._insert(self.root, int(pts_id[i]), float(pts_x[i]), float(pts_y[i]))
-            if split is not None:
-                old = self.root
-                self.root = TNode(False)
-                self.root.children = [old, split]
-                self.root.mbr = M.merge(old.mbr, split.mbr)
+            pid_i, x_i, y_i = int(pts_id[i]), float(pts_x[i]), float(pts_y[i])
+            self._grow_root(self._insert(self.root, pid_i, x_i, y_i))
 
     def _split_leaf(self, leaf: TNode, pid: int, x: float, y: float) -> TNode:
         b = self.bf.blocks[leaf.blk]

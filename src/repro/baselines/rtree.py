@@ -13,12 +13,11 @@ fanout-100 internal levels built bottom-up over consecutive runs.
 """
 from __future__ import annotations
 
-import heapq
 import time
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex
+from repro.baselines.api import SpatialIndex, best_first_knn
 from repro.geo import mbr as M
 from repro.geo.rank_space import rank_space_order_np
 
@@ -82,49 +81,40 @@ class TreeIndex(SpatialIndex):
 
     def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
         """Exact best-first search [40]."""
-        if self.root is None or k <= 0:
-            return np.empty(0, dtype=np.int64)
-        cnt = 0
-        heap = [(0.0, cnt, self.root)]
-        result: list[tuple[float, int]] = []
-        while heap:
-            d, _, node = heapq.heappop(heap)
-            if len(result) >= k and d > result[k - 1][0]:
-                break
-            if node.is_leaf:
-                ids, xs, ys = self.bf.scan((node.blk,))
-                pd = np.hypot(xs - x, ys - y)
-                result.extend((float(dd), int(pid)) for dd, pid in zip(pd, ids))
-                result.sort()
-                del result[k:]
-            else:
-                self.bf.charge()
-                dd = M.v_mindist(node.child_mbrs(), x, y)
-                for i, c in enumerate(node.children):
-                    cnt += 1
-                    heapq.heappush(heap, (float(dd[i]), cnt, c))
-        return np.asarray([pid for _, pid in result[:k]], dtype=np.int64)
 
-    # -- updates (shared delete; inserts are index-specific) ---------------
+        def expand(node):
+            if node.is_leaf:
+                return self.bf.scan((node.blk,)), ()
+            self.bf.charge()
+            dd = M.v_mindist(node.child_mbrs(), x, y)
+            return None, zip(dd.tolist(), node.children)
+
+        return best_first_knn(x, y, k, self.root, expand)
+
+    # -- updates -------------------------------------------------------------
     def delete(self, x: float, y: float):
         pid = self.bf.remove(self._blocks_meeting((x, y, x, y)), x, y)
         if pid is not None:
             self.n_points -= 1
         return pid
 
-    def _insert_descend_min_enlarge(self, x: float, y: float) -> list[TNode]:
-        """Root-to-leaf path choosing the child whose MBR needs least
-        area enlargement (classic R-tree ChooseLeaf)."""
+    def insert(self, pid: int, x: float, y: float) -> None:
+        """Descend to the child whose MBR needs least area enlargement
+        (classic R-tree ChooseLeaf); a full leaf grows an overflow chain.
+        HRR and KDB are bulk-loaded, and the paper inserts into them via
+        new linked blocks checked by tree traversal."""
         path = [self.root]
         node = self.root
         while not node.is_leaf:
             mbrs = node.child_mbrs()
             enlarged = M.v_merge_point(mbrs, x, y)
             delta = M.v_area(enlarged) - M.v_area(mbrs)
-            best = int(np.lexsort((M.v_area(mbrs), delta))[0])
-            node = node.children[best]
+            node = node.children[int(np.lexsort((M.v_area(mbrs), delta))[0])]
             path.append(node)
-        return path
+        self.bf.insert_into(node.blk, pid, x, y)
+        for n in path:
+            n.mbr = M.expand(n.mbr, x, y)
+        self.n_points += 1
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -190,16 +180,6 @@ class HRRTree(TreeIndex):
         self.root = level[0]
         self.build_seconds = time.perf_counter() - t0
         return self
-
-    def insert(self, pid: int, x: float, y: float) -> None:
-        """Min-enlargement descent; a full leaf grows an overflow chain
-        (HRR is a bulk-loaded structure — the paper inserts into it via
-        new linked blocks checked by tree traversal)."""
-        path = self._insert_descend_min_enlarge(x, y)
-        self.bf.insert_into(path[-1].blk, pid, x, y)
-        for node in path:
-            node.mbr = M.expand(node.mbr, x, y)
-        self.n_points += 1
 
     def size_bytes(self) -> int:
         # Two rank-mapping B-trees over the coordinates ([37, 38]) make

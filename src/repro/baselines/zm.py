@@ -132,8 +132,8 @@ class ZM(SpatialIndex):
         return self
 
     # ------------------------------------------------------------------
-    def _predict(self, z: int) -> tuple[int, int, int]:
-        """(predicted block, err_l, err_a) for a Z-value."""
+    def _descend(self, z: int) -> tuple[int, int]:
+        """(leaf model, predicted block) of the 3-level RMI for a Z-value."""
         zn = z / self._zmax_norm
         r0 = min(max(self.l0.predict_one(zn), 0.0), 1.0)
         i1 = min(int(r0 * self.m1), self.m1 - 1)
@@ -141,6 +141,11 @@ class ZM(SpatialIndex):
         i2 = min(int(r1 * self.m2), self.m2 - 1)
         r2 = min(max(self.l2[i2].predict_one(zn), 0.0), 1.0)
         blk = min(int(r2 * max(1, self._n0 - 1)) // self.params.B, self.nblk - 1)
+        return i2, blk
+
+    def _predict(self, z: int) -> tuple[int, int, int]:
+        """(predicted block, err_l, err_a) for a Z-value."""
+        i2, blk = self._descend(z)
         return blk, int(self.err_l[i2]), int(self.err_a[i2])
 
     def _candidate_blocks(self, z: int):
@@ -201,13 +206,7 @@ class ZM(SpatialIndex):
         blk = max(0, pos)
         self.bf.charge(max(1, int(np.log2(self.nblk + 1))))  # locate cost
         self.bf.insert_into(blk, pid, x, y)
-        zn = z / self._zmax_norm
-        r0 = min(max(self.l0.predict_one(zn), 0.0), 1.0)
-        i1 = min(int(r0 * self.m1), self.m1 - 1)
-        r1 = min(max(self.l1[i1].predict_one(zn), 0.0), 1.0)
-        i2 = min(int(r1 * self.m2), self.m2 - 1)
-        r2 = min(max(self.l2[i2].predict_one(zn), 0.0), 1.0)
-        pred = min(int(r2 * max(1, self._n0 - 1)) // self.params.B, self.nblk - 1)
+        i2, pred = self._descend(z)
         self.err_l[i2] = max(self.err_l[i2], pred - blk)
         self.err_a[i2] = max(self.err_a[i2], blk - pred)
         self.n_points += 1

@@ -11,8 +11,9 @@ under/over-prediction errors.
 
 The build is expressed as a list of independent *training tasks* per
 level, executed by a pluggable ``runner`` — serially here, or fanned out
-over Spark executors by :mod:`repro.core.rsmi_spark`. Both runners
-produce bit-identical indices (per-task deterministic seeds).
+over Spark executors by :mod:`repro.core.rsmi_spark`. Both runners call
+:func:`run_task` with per-task deterministic seeds, so they produce the
+same index up to the BLAS summation order of the training process.
 
 Error-bound convention: ``err_l`` is the maximum amount the model
 *over*-predicts (so the search extends ``err_l`` blocks to the left of
@@ -28,7 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, center_out, expansion_knn
+from repro.baselines.api import (
+    SpatialIndex,
+    best_first_knn,
+    center_out,
+    expansion_knn,
+)
 from repro.geo import mbr as M
 from repro.geo import sfc
 from repro.geo.rank_space import rank_space_order_np
@@ -134,16 +140,18 @@ def run_leaf_task(ids: np.ndarray, xy: np.ndarray, params: RSMIParams, seed: int
     }
 
 
+def run_task(task: dict, params: RSMIParams) -> dict:
+    """Train the model of one build task (the one function both runners
+    execute), seeded by the task's path."""
+    seed = path_seed(task["path"], params.seed)
+    if task["kind"] == "inner":
+        return run_inner_task(task["xy"], params, seed)
+    return run_leaf_task(task["ids"], task["xy"], params, seed)
+
+
 def serial_runner(tasks: list[dict], params: RSMIParams) -> list[dict]:
     """Execute one level's training tasks in-process (no Spark)."""
-    out = []
-    for t in tasks:
-        seed = path_seed(t["path"], params.seed)
-        if t["kind"] == "inner":
-            out.append(run_inner_task(t["xy"], params, seed))
-        else:
-            out.append(run_leaf_task(t["ids"], t["xy"], params, seed))
-    return out
+    return [run_task(t, params) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -392,40 +400,20 @@ class RSMI(SpatialIndex):
             yield from node.base + np.flatnonzero(M.v_intersects(node.blk_mbrs, rect))
 
     def knn_query_exact(self, x: float, y: float, k: int) -> np.ndarray:
-        """Best-first search [40] over sub-model and block MBRs."""
-        import heapq
+        """Best-first search [40] over sub-model and block MBRs; a block
+        is queued as the 1-tuple of its id."""
 
-        if self.n_points == 0 or k <= 0:
-            return np.empty(0, dtype=np.int64)
-        cnt = 0
-        heap = [(0.0, cnt, "n", self.root)]
-        result: list[tuple[float, int]] = []
-        while heap:
-            d, _, kind, obj = heapq.heappop(heap)
-            if len(result) >= k and d > result[k - 1][0]:
-                break
-            if kind == "n":
-                if isinstance(obj, _Inner):
-                    self.bf.charge()
-                    for child in obj.children.values():
-                        cnt += 1
-                        heapq.heappush(
-                            heap, (M.mindist(child.mbr, x, y), cnt, "n", child)
-                        )
-                else:
-                    dd = M.v_mindist(obj.blk_mbrs, x, y)
-                    for j in range(obj.nblk):
-                        cnt += 1
-                        heapq.heappush(
-                            heap, (float(dd[j]), cnt, "b", (obj.base + j,))
-                        )
-            else:
-                ids, xs, ys = self.bf.scan(obj)
-                pd = np.hypot(xs - x, ys - y)
-                result.extend((float(dd), int(pid)) for dd, pid in zip(pd, ids))
-                result.sort()
-                del result[k:]
-        return np.asarray([pid for _, pid in result[:k]], dtype=np.int64)
+        def expand(node):
+            if isinstance(node, _Inner):
+                self.bf.charge()
+                kids = node.children.values()
+                return None, [(M.mindist(c.mbr, x, y), c) for c in kids]
+            if isinstance(node, _Leaf):
+                dd = M.v_mindist(node.blk_mbrs, x, y).tolist()
+                return None, zip(dd, ((node.base + j,) for j in range(node.nblk)))
+            return self.bf.scan(node), ()
+
+        return best_first_knn(x, y, k, self.root if self.n_points else None, expand)
 
     # ------------------------------------------------------------------
     # Updates (Section 5)

@@ -8,8 +8,10 @@ the tree — while all MLP training (the dominant cost, cf. paper Fig. 7b)
 runs on executors.
 
 ``spark_runner(spark)`` plugs into :meth:`repro.core.rsmi.RSMI.build`;
-with per-task deterministic seeds and pid-sorted task inputs the result
-is bit-identical to the serial build (tested in
+each task ships whole and runs through the same
+:func:`repro.core.rsmi.run_task` as the serial build, so both builds get
+the same routing and block layout, with weights equal up to the BLAS
+summation order of the process that trains them (tested in
 ``tests/test_rsmi_spark.py``).
 """
 from __future__ import annotations
@@ -20,59 +22,34 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.rsmi import (
-    RSMI,
-    RSMIParams,
-    path_seed,
-    run_inner_task,
-    run_leaf_task,
-)
+from repro.core.rsmi import RSMI, RSMIParams, run_task
 
+_IN_SCHEMA = "gid long, task binary"
 _OUT_SCHEMA = "gid long, payload binary"
 
 
 def spark_runner(spark: SparkSession):
     """A ``runner(tasks, params)`` that trains one level's models on
-    executors. Tasks and results travel as pickled payloads; rows are
-    re-sorted by point id inside each group so floating-point summation
-    order (and thus the trained weights) matches the serial build."""
+    executors: one row per task, ``(gid, pickled task)``, one group per
+    row, and the pickled payload back."""
 
     def runner(tasks: list[dict], params: RSMIParams) -> list[dict]:
         if not tasks:
             return []
-        frames = []
-        meta: dict[int, tuple[str, int]] = {}
-        for gid, t in enumerate(tasks):
-            meta[gid] = (t["kind"], path_seed(t["path"], params.seed))
-            n = len(t["xy"])
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "gid": np.full(n, gid, dtype=np.int64),
-                        "pid": t["ids"] if t["kind"] == "leaf" else np.arange(n),
-                        "x": t["xy"][:, 0],
-                        "y": t["xy"][:, 1],
-                    }
-                )
-            )
-        all_rows = pd.concat(frames, ignore_index=True)
-        sdf = spark.createDataFrame(all_rows).repartition(
+        shipped = pd.DataFrame(
+            {
+                "gid": np.arange(len(tasks), dtype=np.int64),
+                "task": [pickle.dumps(t) for t in tasks],
+            }
+        )
+        sdf = spark.createDataFrame(shipped, schema=_IN_SCHEMA).repartition(
             max(len(tasks), spark.sparkContext.defaultParallelism), "gid"
         )
 
         def train(pdf: pd.DataFrame) -> pd.DataFrame:
-            gid = int(pdf["gid"].iloc[0])
-            kind, seed = meta[gid]
-            pdf = pdf.sort_values("pid", kind="stable")
-            xy = pdf[["x", "y"]].to_numpy()
-            if kind == "inner":
-                payload = run_inner_task(xy, params, seed)
-            else:
-                payload = run_leaf_task(
-                    pdf["pid"].to_numpy(np.int64), xy, params, seed
-                )
+            payload = run_task(pickle.loads(pdf["task"].iloc[0]), params)
             return pd.DataFrame(
-                {"gid": [gid], "payload": [pickle.dumps(payload)]}
+                {"gid": [pdf["gid"].iloc[0]], "payload": [pickle.dumps(payload)]}
             )
 
         rows = (

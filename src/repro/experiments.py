@@ -1,10 +1,11 @@
 """Experiment definitions — one function per paper table/figure.
 
 Each ``exp_*`` function returns a list of row-dicts shaped like the
-paper's exhibit and is wrapped by a ``jobs/`` entrypoint (spark-submit)
-and, at reduced scale, by a ``benchmarks/`` pytest-benchmark target.
+paper's exhibit; :data:`JOBS` names them and :func:`run` prints and saves
+one (``jobs/run_all.py [name ...]`` is the spark-submit entry point).
 An :class:`IndexCache` shares built indices across experiments within a
-process (builds dominate wall-clock, queries are cheap).
+process (builds dominate wall-clock, queries are cheap). RSMIa is RSMI's
+exact query mode, so it is a method name that shares RSMI's build.
 
 RSMI builds go through the Spark runner when a SparkSession is supplied
 (per-partition model training on executors); everything else builds on
@@ -12,6 +13,7 @@ the driver, mirroring the paper's single-machine competitors.
 """
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -35,6 +37,8 @@ class IndexCache:
         return self._data[key]
 
     def index(self, name: str, dist: str, n: int, N: int = 10_000):
+        if name == "RSMIa":
+            name = "RSMI"
         key = (dist, n, f"{name}:{N}")
         if key not in self._idx:
             ids, xy = self.data(dist, n)
@@ -46,10 +50,10 @@ class IndexCache:
             self._idx[key] = harness.build_index(name, ids, xy, N=N, runner=runner)
         return self._idx[key]
 
-    def fresh(self, name: str, dist: str, n: int, N: int = 10_000):
+    def fresh(self, name: str, dist: str, n: int):
         """Uncached build (for update experiments that mutate)."""
         ids, xy = self.data(dist, n)
-        return harness.build_index(name, ids, xy, N=N)
+        return harness.build_index(name, ids, xy)
 
 
 def _point_workload(xy: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -73,8 +77,8 @@ def _knn_workload(ids, xy, k, seed=0):
 # Table 3 — impact of the partition threshold N
 # ---------------------------------------------------------------------------
 
-def exp_table3(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_table3(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     ids, xy = cache.data(harness.DEFAULT_DIST, n)
     pts = _point_workload(xy)
     rows = []
@@ -102,8 +106,8 @@ def exp_table3(cache: IndexCache, n: int | None = None) -> list[dict]:
 # Table 4 — prediction error bounds of ZM and RSMI
 # ---------------------------------------------------------------------------
 
-def exp_table4(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_table4(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     rows = []
     for dist in harness.ALL_DISTS:
         zm = cache.index("ZM", dist, n)
@@ -124,8 +128,8 @@ def exp_table4(cache: IndexCache, n: int | None = None) -> list[dict]:
 # Figs 6 + 7 — point queries / size / build time across distributions
 # ---------------------------------------------------------------------------
 
-def exp_point_by_dist(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_point_by_dist(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     rows = []
     for dist in harness.ALL_DISTS:
         ids, xy = cache.data(dist, n)
@@ -150,21 +154,23 @@ def exp_point_by_dist(cache: IndexCache, n: int | None = None) -> list[dict]:
 # Figs 8 + 9 + 11 + 15 — data-set-size sweeps (Skewed)
 # ---------------------------------------------------------------------------
 
-def exp_size_sweep(cache: IndexCache, sizes=None) -> list[dict]:
-    sizes = sizes or harness.SIZE_SWEEP
+def exp_size_sweep(cache: IndexCache) -> list[dict]:
     rows = []
-    for n in sizes:
+    for n in harness.SIZE_SWEEP:
         ids, xy = cache.data(harness.DEFAULT_DIST, n)
         pts = _point_workload(xy)
         rects, wtruths = _window_workload(
             ids, xy, workloads.DEFAULT_WINDOW_PCT, workloads.DEFAULT_ASPECT
         )
         qs, ktruths = _knn_workload(ids, xy, workloads.DEFAULT_K)
-        for name in harness.INDEX_NAMES:
+        for name in harness.METHODS:
             idx = cache.index(name, harness.DEFAULT_DIST, n)
+            exact = name == "RSMIa"
             mp = harness.measure_point_queries(idx, pts)
-            mw = harness.measure_window_queries(idx, rects, wtruths)
-            mk = harness.measure_knn_queries(idx, qs, workloads.DEFAULT_K, ktruths)
+            mw = harness.measure_window_queries(idx, rects, wtruths, exact=exact)
+            mk = harness.measure_knn_queries(
+                idx, qs, workloads.DEFAULT_K, ktruths, exact=exact
+            )
             rows.append(
                 {
                     "n": n,
@@ -179,25 +185,6 @@ def exp_size_sweep(cache: IndexCache, sizes=None) -> list[dict]:
                     "knn_recall": mk["recall"],
                 }
             )
-            if name == "RSMI":
-                mwa = harness.measure_window_queries(idx, rects, wtruths, exact=True)
-                mka = harness.measure_knn_queries(
-                    idx, qs, workloads.DEFAULT_K, ktruths, exact=True
-                )
-                rows.append(
-                    {
-                        "n": n,
-                        "index": "RSMIa",
-                        "point_us": mp["time_us"],
-                        "point_accesses": mp["accesses"],
-                        "size_mb": idx.size_bytes() / 1e6,
-                        "build_s": idx.build_seconds,
-                        "window_ms": mwa["time_ms"],
-                        "window_recall": mwa["recall"],
-                        "knn_ms": mka["time_ms"],
-                        "knn_recall": mka["recall"],
-                    }
-                )
     return rows
 
 
@@ -209,25 +196,18 @@ def _window_rows(cache, dist, n, size_pct, aspect, tag) -> list[dict]:
     ids, xy = cache.data(dist, n)
     rects, truths = _window_workload(ids, xy, size_pct, aspect)
     rows = []
-    for name in harness.INDEX_NAMES:
+    for name in harness.METHODS:
         idx = cache.index(name, dist, n)
-        m = harness.measure_window_queries(idx, rects, truths)
+        m = harness.measure_window_queries(idx, rects, truths, exact=name == "RSMIa")
         rows.append(
             {**tag, "index": name, "time_ms": m["time_ms"], "recall": m["recall"],
              "accesses": m["accesses"], "false_positives": m["false_positives"]}
         )
-        if name == "RSMI":
-            ma = harness.measure_window_queries(idx, rects, truths, exact=True)
-            rows.append(
-                {**tag, "index": "RSMIa", "time_ms": ma["time_ms"],
-                 "recall": ma["recall"], "accesses": ma["accesses"],
-                 "false_positives": ma["false_positives"]}
-            )
     return rows
 
 
-def exp_window_by_dist(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_window_by_dist(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     rows = []
     for dist in harness.ALL_DISTS:
         rows += _window_rows(
@@ -237,8 +217,8 @@ def exp_window_by_dist(cache: IndexCache, n: int | None = None) -> list[dict]:
     return rows
 
 
-def exp_window_by_size(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_window_by_size(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     rows = []
     for pct in workloads.WINDOW_SIZES_PCT:
         rows += _window_rows(
@@ -248,8 +228,8 @@ def exp_window_by_size(cache: IndexCache, n: int | None = None) -> list[dict]:
     return rows
 
 
-def exp_window_by_aspect(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_window_by_aspect(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     rows = []
     for aspect in workloads.ASPECT_RATIOS:
         rows += _window_rows(
@@ -267,32 +247,26 @@ def _knn_rows(cache, dist, n, k, tag) -> list[dict]:
     ids, xy = cache.data(dist, n)
     qs, truths = _knn_workload(ids, xy, k)
     rows = []
-    for name in harness.INDEX_NAMES:
+    for name in harness.METHODS:
         idx = cache.index(name, dist, n)
-        m = harness.measure_knn_queries(idx, qs, k, truths)
+        m = harness.measure_knn_queries(idx, qs, k, truths, exact=name == "RSMIa")
         rows.append(
             {**tag, "index": name, "time_ms": m["time_ms"], "recall": m["recall"],
              "accesses": m["accesses"]}
         )
-        if name == "RSMI":
-            ma = harness.measure_knn_queries(idx, qs, k, truths, exact=True)
-            rows.append(
-                {**tag, "index": "RSMIa", "time_ms": ma["time_ms"],
-                 "recall": ma["recall"], "accesses": ma["accesses"]}
-            )
     return rows
 
 
-def exp_knn_by_dist(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_knn_by_dist(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     rows = []
     for dist in harness.ALL_DISTS:
         rows += _knn_rows(cache, dist, n, workloads.DEFAULT_K, {"dist": dist})
     return rows
 
 
-def exp_knn_by_k(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_knn_by_k(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     rows = []
     for k in workloads.K_VALUES:
         rows += _knn_rows(cache, harness.DEFAULT_DIST, n, k, {"k": k})
@@ -303,15 +277,15 @@ def exp_knn_by_k(cache: IndexCache, n: int | None = None) -> list[dict]:
 # Figs 17–19 — update handling
 # ---------------------------------------------------------------------------
 
-def exp_updates(cache: IndexCache, n: int | None = None) -> list[dict]:
-    n = n or harness.N_DEFAULT
+def exp_updates(cache: IndexCache) -> list[dict]:
+    n = harness.N_DEFAULT
     dist = harness.DEFAULT_DIST
     ids, xy = cache.data(dist, n)
     # A separate pool of points to insert, same distribution.
     ins_xy = harness.dataset(dist, n // 2, seed=1234)[1]
     ins_ids = np.arange(n, n + n // 2, dtype=np.int64)
 
-    names = harness.INDEX_NAMES + ("RSMIr",)
+    names = harness.METHODS + ("RSMIr",)
     indices = {name: cache.fresh(name, dist, n) for name in names}
     rows = []
     step = n // 10
@@ -352,4 +326,37 @@ def exp_updates(cache: IndexCache, n: int | None = None) -> list[dict]:
                     "knn_recall": mk["recall"],
                 }
             )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Job registry — results/<name>.json per entry
+# ---------------------------------------------------------------------------
+
+JOBS = {
+    "table3_n_sweep": exp_table3,
+    "table4_err_bounds": exp_table4,
+    "fig6_7_point_by_dist": exp_point_by_dist,
+    "fig10_window_by_dist": exp_window_by_dist,
+    "fig12_window_by_size": exp_window_by_size,
+    "fig13_window_by_aspect": exp_window_by_aspect,
+    "fig14_knn_by_dist": exp_knn_by_dist,
+    "fig16_knn_by_k": exp_knn_by_k,
+    "fig8_9_11_15_size_sweep": exp_size_sweep,
+    "fig17_19_updates": exp_updates,
+}
+
+
+def run(name: str, cache: IndexCache) -> list[dict]:
+    """Run one :data:`JOBS` entry, print its rows as a table, and save
+    them to ``results/<name>.json``."""
+    t0 = time.perf_counter()
+    rows = JOBS[name](cache)
+    dt = time.perf_counter() - t0
+    if rows:
+        header = list(rows[0].keys())
+        print(harness.fmt_table(f"== {name} ({dt:.1f}s) ==", header,
+                                [[r[h] for h in header] for r in rows]))
+    out = harness.save_results(name, rows)
+    print(f"[{name}] {len(rows)} rows -> {out}", file=sys.stderr)
     return rows

@@ -1,8 +1,8 @@
 """Experiment harness: index factory, measurement, and table formatting.
 
-Every ``jobs/`` entrypoint and every ``benchmarks/`` target goes through
-these helpers so that timing/accesses/recall are measured identically for
-every index. All scales are env-tunable:
+Every experiment in :mod:`repro.experiments` and every ``benchmarks/``
+target goes through these helpers so that timing/accesses/recall are
+measured identically for every index. All scales are env-tunable:
 
 * ``REPRO_SCALE``   — fraction of paper scale (default 0.01: paper's
   default n = 16M -> ours 160k).
@@ -39,6 +39,9 @@ SIZE_SWEEP = tuple(int(m * 1e6 / 400) for m in (1, 2, 4, 8, 16, 32, 64, 128))
 RESULTS_DIR = Path(__file__).resolve().parents[2] / "results"
 
 INDEX_NAMES = ("Grid", "HRR", "KDB", "RR*", "RSMI", "ZM")
+# The seven methods of the window and kNN figures: RSMIa is RSMI's build
+# queried through its exact paths.
+METHODS = tuple(sorted(INDEX_NAMES + ("RSMIa",)))
 
 
 def rsmi_params(N: int = 10_000, seed: int = 0) -> RSMIParams:

@@ -74,6 +74,22 @@ def _norm(xy: np.ndarray, bbox: tuple) -> np.ndarray:
     return out
 
 
+def _slots(mlp: MLP, bbox: tuple, xy: np.ndarray, n: int) -> np.ndarray:
+    """The slot in ``[0, n)`` (child group or block) the model predicts for
+    each row of ``xy``: :func:`_slot` over rows, for the build."""
+    p = mlp.predict(_norm(xy, bbox))
+    return np.clip(np.rint(p * max(1, n - 1)), 0, n - 1).astype(np.int64)
+
+
+def _slot(mlp: MLP, bbox: tuple, x: float, y: float, n: int) -> int:
+    """The slot of one point. The same IEEE operations as :func:`_norm`
+    and :func:`_slots` (``round`` and ``np.rint`` both round half to even),
+    so a query computes bit for bit what the build grouped and bounded."""
+    xn = (x - bbox[0]) / ((bbox[2] - bbox[0]) or 1.0)
+    yn = (y - bbox[1]) / ((bbox[3] - bbox[1]) or 1.0)
+    return min(max(round(mlp.predict_one(xn, yn) * max(1, n - 1)), 0), n - 1)
+
+
 def grid_cell_values(
     xy: np.ndarray, N: int, B: int, curve: str
 ) -> tuple[np.ndarray, int]:
@@ -122,10 +138,7 @@ def run_leaf_task(ids: np.ndarray, xy: np.ndarray, params: RSMIParams, seed: int
     mlp = MLP(2, hidden_for(nblk), seed=seed)
     denom = max(1, nblk - 1)
     mlp.fit(_norm(xy_s, bbox), target / denom, epochs=params.epochs_leaf, lr=params.lr)
-    pred = np.clip(np.rint(mlp.predict(_norm(xy_s, bbox)) * denom), 0, nblk - 1).astype(
-        np.int64
-    )
-    diff = pred - target
+    diff = _slots(mlp, bbox, xy_s, nblk) - target
     err_l = int(max(0, diff.max(initial=0)))  # over-prediction -> search left
     err_a = int(max(0, (-diff).max(initial=0)))  # under-prediction -> search right
     return {
@@ -167,10 +180,7 @@ class _Inner:
     mbr: tuple = M.EMPTY
 
     def route(self, x: float, y: float) -> int:
-        xn = (x - self.bbox[0]) / ((self.bbox[2] - self.bbox[0]) or 1.0)
-        yn = (y - self.bbox[1]) / ((self.bbox[3] - self.bbox[1]) or 1.0)
-        p = self.mlp.predict_one(xn, yn)
-        return int(np.clip(round(p * max(1, self.C - 1)), 0, self.C - 1))
+        return _slot(self.mlp, self.bbox, x, y, self.C)
 
 
 @dataclass
@@ -186,10 +196,7 @@ class _Leaf:
     n_points: int = 0
 
     def predict_block(self, x: float, y: float) -> int:
-        xn = (x - self.bbox[0]) / ((self.bbox[2] - self.bbox[0]) or 1.0)
-        yn = (y - self.bbox[1]) / ((self.bbox[3] - self.bbox[1]) or 1.0)
-        p = self.mlp.predict_one(xn, yn)
-        return int(np.clip(round(p * max(1, self.nblk - 1)), 0, self.nblk - 1))
+        return _slot(self.mlp, self.bbox, x, y, self.nblk)
 
     def search_range(self, x: float, y: float) -> tuple[int, int, int]:
         """Absolute ids of the predicted block and of the first and last
@@ -257,13 +264,7 @@ class RSMI(SpatialIndex):
                 nodes[path] = inner
                 if path:
                     nodes[path[:-1]].children[path[-1]] = inner
-                sub_xy = xy[idx]
-                denom = max(1, inner.C - 1)
-                preds = np.clip(
-                    np.rint(inner.mlp.predict(_norm(sub_xy, inner.bbox)) * denom),
-                    0,
-                    inner.C - 1,
-                ).astype(np.int64)
+                preds = _slots(inner.mlp, inner.bbox, xy[idx], inner.C)
                 for g in np.unique(preds):
                     sub = idx[preds == g]
                     # Guard: a model that fails to split its input would

@@ -9,10 +9,20 @@ fewer iterations; the substitution is documented in DESIGN.md). Error
 bounds derived after training keep queries correct regardless of the
 optimiser used.
 
+numpy trains; one scalar forward pass in Python floats, :func:`_forward`,
+is the only inference rule. ``predict`` applies it to each row of a
+matrix and ``predict_one`` to one point, so the build's groups and error
+bounds come bit for bit from the function queries call. One call costs
+1-2 µs at 4 hidden units and grows with the width, where a numpy pass
+costs 11-20 µs at any width (``benchmarks/bench_model.py`` on a shared
+4-core Xeon, CPython 3.11).
+
 Models are pickled when shipped to/from Spark executors; ``state`` /
 ``from_state`` give a stable plain-dict representation.
 """
 from __future__ import annotations
+
+from math import exp
 
 import numpy as np
 
@@ -33,10 +43,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward(rows: tuple, b2: float, x: float, y: float) -> float:
+    """The forward pass of one point, given the hidden units as
+    ``(-b1[j], -W1[0, j], -W1[1, j], W2[j, 0])`` rows of Python floats.
+
+    With the first layer negated, ``u`` is ``-z`` bit for bit (IEEE
+    rounding is symmetric), so the loop feeds ``exp`` directly. Only the
+    overflow side is clamped: for ``z > 500``, ``exp(-z)`` vanishes beside
+    1.0 and a clamp there would change nothing."""
+    out = 0.0
+    for b, a, c, w in rows:
+        u = b + x * a + y * c
+        if u > 500.0:
+            u = 500.0
+        out += w / (1.0 + exp(u))
+    return out + b2
+
+
 class MLP:
-    """``n_in -> hidden (sigmoid) -> 1 (linear)`` regression network."""
+    """``n_in -> hidden (sigmoid) -> 1 (linear)`` regression network, for
+    one or two inputs."""
 
     def __init__(self, n_in: int = 2, hidden: int = MAX_HIDDEN, seed: int = 0):
+        if n_in not in (1, 2):
+            raise ValueError(f"MLP takes 1 or 2 inputs, not {n_in}")
         self.n_in = n_in
         self.hidden = hidden
         rng = np.random.default_rng(seed)
@@ -46,6 +76,17 @@ class MLP:
         self.b1 = np.zeros(hidden)
         self.W2 = rng.uniform(-s2, s2, (hidden, 1))
         self.b2 = np.zeros(1)
+        self._set_rows()
+
+    def _set_rows(self) -> None:
+        """Copy the weights into the Python floats :func:`_forward` reads;
+        called wherever the weights are set. A 1-input model gets a zero
+        weight for ``y``."""
+        c = (-self.W1[1]).tolist() if self.n_in == 2 else [0.0] * self.hidden
+        self._rows = tuple(
+            zip((-self.b1).tolist(), (-self.W1[0]).tolist(), c, self.W2[:, 0].tolist())
+        )
+        self._b2 = float(self.b2[0])
 
     # -- training ----------------------------------------------------------
     def fit(
@@ -91,21 +132,21 @@ class MLP:
                 mh = m[i] / (1 - b1m**t)
                 vh = v[i] / (1 - b2m**t)
                 p -= lr * mh / (np.sqrt(vh) + eps)
+        self._set_rows()
         return loss
 
     # -- inference ---------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """:func:`_forward` over the rows of ``X`` (shape ``(n, n_in)``)."""
         X = np.asarray(X, dtype=np.float64)
-        h = _sigmoid(X @ self.W1 + self.b1)
-        return (h @ self.W2 + self.b2).ravel()
+        xs = X[:, 0].tolist()
+        ys = X[:, 1].tolist() if self.n_in == 2 else [0.0] * len(xs)
+        rows, b2 = self._rows, self._b2
+        return np.array([_forward(rows, b2, x, y) for x, y in zip(xs, ys)], dtype=np.float64)
 
-    def predict_one(self, *coords: float) -> float:
+    def predict_one(self, x: float, y: float = 0.0) -> float:
         """Single-point forward pass (the query-time hot path)."""
-        z = self.b1.copy()
-        for c, w in zip(coords, self.W1):
-            z += c * w
-        h = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        return float(h @ self.W2[:, 0] + self.b2[0])
+        return _forward(self._rows, self._b2, x, y)
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -135,4 +176,5 @@ class MLP:
         m.b1 = np.asarray(st["b1"], dtype=np.float64)
         m.W2 = np.asarray(st["W2"], dtype=np.float64)
         m.b2 = np.asarray(st["b2"], dtype=np.float64)
+        m._set_rows()
         return m

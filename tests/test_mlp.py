@@ -1,4 +1,7 @@
 """Numpy MLP tests (the learned-model substrate)."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -67,14 +70,29 @@ def test_fit_deterministic():
     assert np.array_equal(a.W1, b.W1) and np.array_equal(a.b2, b.b2)
 
 
+def _fitted(n_in, hidden, seed=5, epochs=30):
+    X = np.random.default_rng(seed).random((200, n_in))
+    m = MLP(n_in, hidden, seed=0)
+    m.fit(X, X[:, 0], epochs=epochs)
+    return m, X
+
+
 def test_predict_one_matches_predict():
-    rng = np.random.default_rng(5)
-    X = rng.random((50, 2))
-    m = MLP(2, 8, seed=0)
-    m.fit(X, X[:, 0], epochs=30)
-    batch = m.predict(X)
-    singles = np.array([m.predict_one(float(a), float(b)) for a, b in X])
-    assert np.allclose(batch, singles, atol=1e-12)
+    """One inference rule: the batch and the scalar pass are bit-equal."""
+    for n_in in (1, 2):
+        for hidden in (4, 33, 51):
+            m, X = _fitted(n_in, hidden)
+            singles = np.array([m.predict_one(*map(float, row)) for row in X])
+            assert np.array_equal(m.predict(X), singles), (n_in, hidden)
+
+
+def test_predict_one_uses_weights_of_latest_fit():
+    m, X = _fitted(2, 8)
+    before = m.predict_one(0.3, 0.7)
+    m.fit(X, X[:, 1], epochs=30)
+    assert m.predict_one(0.3, 0.7) != before
+    fresh = MLP.from_state(m.state())
+    assert m.predict_one(0.3, 0.7) == fresh.predict_one(0.3, 0.7)
 
 
 def test_empty_fit_is_noop():
@@ -85,12 +103,11 @@ def test_empty_fit_is_noop():
 
 
 def test_state_roundtrip():
-    rng = np.random.default_rng(6)
-    X = rng.random((100, 2))
-    m = MLP(2, 8, seed=0)
-    m.fit(X, X[:, 1], epochs=40)
-    m2 = MLP.from_state(m.state())
-    assert np.allclose(m.predict(X), m2.predict(X))
+    """``from_state``, ``deepcopy`` and pickling keep predictions bit-equal."""
+    m, X = _fitted(2, 8, seed=6, epochs=40)
+    for c in (MLP.from_state(m.state()), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert np.array_equal(m.predict(X), c.predict(X))
+        assert all(m.predict_one(*map(float, r)) == c.predict_one(*map(float, r)) for r in X)
 
 
 def test_n_params_and_size():
@@ -105,3 +122,6 @@ def test_extreme_inputs_do_not_overflow():
     assert np.isfinite(v)
     out = m.predict(np.array([[1e6, -1e6], [0.0, 0.0]]))
     assert np.all(np.isfinite(out))
+    m1 = MLP(1, 8, seed=0)
+    assert np.isfinite(m1.predict_one(1e6)) and np.isfinite(m1.predict_one(-1e6))
+    assert np.all(np.isfinite(m1.predict(np.array([[1e6], [-1e6], [0.0]]))))

@@ -54,6 +54,19 @@ def test_error_bounds_actually_bound(built_indices, datasets, dist):
                 assert pred - leaf.err_l <= j <= pred + leaf.err_a
 
 
+@pytest.mark.parametrize("dist", DISTS)
+def test_every_point_descends_to_its_leaf(built_indices, dist):
+    """The routing half of exact bounds: queries route with the same
+    model evaluation the build grouped by, so every indexed point reaches
+    the leaf whose blocks hold it."""
+    idx = built_indices("RSMI", dist)
+    for leaf in _leaves(idx):
+        for j in range(leaf.nblk):
+            b = idx.bf.blocks[leaf.base + j]
+            for x, y in zip(b.live_xs.tolist(), b.live_ys.tolist()):
+                assert idx._descend(x, y)[0] is leaf
+
+
 def test_blocks_follow_recursive_partition_order(built_indices):
     idx = built_indices("RSMI", "skewed")
     leaves = sorted(_leaves(idx), key=lambda l: l.base)

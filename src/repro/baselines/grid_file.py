@@ -30,12 +30,7 @@ class GridFile(SpatialIndex):
         n = len(ids)
         self.n_points = n
         self.nc = max(1, int(np.ceil(np.sqrt(n / self.bf.cap))))
-        self.bbox = (
-            float(xy[:, 0].min()),
-            float(xy[:, 1].min()),
-            float(xy[:, 0].max()),
-            float(xy[:, 1].max()),
-        )
+        self.bbox = M.of_points(xy[:, 0], xy[:, 1])
         cx, cy = self._cell_of(xy[:, 0], xy[:, 1])
         cell = cx * self.nc + cy
         order = np.lexsort((ids, cell))
@@ -52,18 +47,7 @@ class GridFile(SpatialIndex):
         return self
 
     def _cell_of(self, x, y):
-        xlo, ylo, xhi, yhi = self.bbox
-        cx = np.clip(
-            ((np.asarray(x) - xlo) / ((xhi - xlo) or 1.0) * self.nc).astype(np.int64),
-            0,
-            self.nc - 1,
-        )
-        cy = np.clip(
-            ((np.asarray(y) - ylo) / ((yhi - ylo) or 1.0) * self.nc).astype(np.int64),
-            0,
-            self.nc - 1,
-        )
-        return cx, cy
+        return M.cells(self.bbox, self.nc, x, y)
 
     def _cell_rect(self, cx: int, cy: int):
         xlo, ylo, xhi, yhi = self.bbox

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.api import SpatialIndex, expansion_knn
+from repro.geo import mbr as M
 from repro.geo.sfc import z_encode
 from repro.ml.mlp import MLP, hidden_for
 from repro.ml.pmf import PiecewiseCDF
@@ -47,20 +48,8 @@ class ZM(SpatialIndex):
 
     # ------------------------------------------------------------------
     def _to_z(self, x, y) -> np.ndarray:
-        p = self.params
-        side = 1 << p.bits
-        xlo, ylo, xhi, yhi = self.bbox
-        gx = np.clip(
-            ((np.asarray(x) - xlo) / ((xhi - xlo) or 1.0) * side).astype(np.int64),
-            0,
-            side - 1,
-        )
-        gy = np.clip(
-            ((np.asarray(y) - ylo) / ((yhi - ylo) or 1.0) * side).astype(np.int64),
-            0,
-            side - 1,
-        )
-        return z_encode(gx, gy, p.bits)
+        bits = self.params.bits
+        return z_encode(*M.cells(self.bbox, 1 << bits, x, y), bits)
 
     def build(self, ids: np.ndarray, xy: np.ndarray) -> "ZM":
         t0 = time.perf_counter()
@@ -69,12 +58,7 @@ class ZM(SpatialIndex):
         xy = np.asarray(xy, dtype=np.float64)
         n = len(ids)
         self.n_points = n
-        self.bbox = (
-            float(xy[:, 0].min()),
-            float(xy[:, 1].min()),
-            float(xy[:, 0].max()),
-            float(xy[:, 1].max()),
-        )
+        self.bbox = M.of_points(xy[:, 0], xy[:, 1])
         self._n0 = n  # rank-denormalisation base, frozen at build time
         z = self._to_z(xy[:, 0], xy[:, 1])
         order = np.lexsort((ids, z))

@@ -220,7 +220,6 @@ class RSMI(SpatialIndex):
         self.pmf_x = None
         self.pmf_y = None
         self.retired_blocks = 0
-        self._leaves: list[_Leaf] = []
 
     # ------------------------------------------------------------------
     # Build
@@ -292,7 +291,6 @@ class RSMI(SpatialIndex):
             leaf.blk_mbrs = np.array(
                 [self.bf.blocks[base + j].mbr() for j in range(payload["nblk"])]
             )
-            self._leaves.append(leaf)
             if path == ():
                 self.root = leaf
             else:
@@ -449,7 +447,12 @@ class RSMI(SpatialIndex):
         to the file (old blocks are retired from the size accounting).
         Returns the number of leaves rebuilt."""
         rebuilt = 0
-        for parent, key, leaf in self._find_oversized():
+        oversized = [
+            (parent, key, node)
+            for parent, key, node in self._walk()
+            if isinstance(node, _Leaf) and node.n_points > self.params.N
+        ]
+        for parent, key, leaf in oversized:
             ids, xs, ys = [], [], []
             for j in range(leaf.nblk):
                 for b in self.bf.chain_uncounted(leaf.base + j):
@@ -469,27 +472,24 @@ class RSMI(SpatialIndex):
                 self.root = sub.root
             else:
                 parent.children[key] = sub.root
-            self._leaves.extend(sub._leaves)
             rebuilt += 1
         if rebuilt:
             self._recompute_mbrs(self.root)
         return rebuilt
 
-    def _find_oversized(self):
-        out = []
-        stack = [(None, None, self.root)]
-        while stack:
-            parent, key, node = stack.pop()
-            if isinstance(node, _Inner):
-                for g, child in node.children.items():
-                    stack.append((node, g, child))
-            elif node.n_points > self.params.N:
-                out.append((parent, key, node))
-        return out
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _walk(self):
+        """Yield ``(parent, key, node)`` for every node of the live tree:
+        pop the last, push the children in insertion order."""
+        stack = [(None, None, self.root)]
+        while stack:
+            parent, key, node = stack.pop()
+            yield parent, key, node
+            if isinstance(node, _Inner):
+                stack.extend((node, g, c) for g, c in node.children.items())
+
     @property
     def height(self) -> int:
         def h(node):
@@ -501,33 +501,23 @@ class RSMI(SpatialIndex):
 
     @property
     def n_models(self) -> int:
-        def cnt(node):
-            if isinstance(node, _Leaf):
-                return 1
-            return 1 + sum(cnt(c) for c in node.children.values())
-
-        return cnt(self.root)
+        return sum(1 for _ in self._walk())
 
     def max_errors(self) -> tuple[int, int]:
-        """Max (err_l, err_a) across leaf models (paper Table 4)."""
-        errl = max((lf.err_l for lf in self._leaves), default=0)
-        erra = max((lf.err_a for lf in self._leaves), default=0)
+        """Max (err_l, err_a) across the live leaf models (paper Table 4)."""
+        leaves = [n for _, _, n in self._walk() if isinstance(n, _Leaf)]
+        errl = max((lf.err_l for lf in leaves), default=0)
+        erra = max((lf.err_a for lf in leaves), default=0)
         return errl, erra
 
     def size_bytes(self) -> int:
         model_b = 0
-
-        def walk(node):
-            nonlocal model_b
+        for _, _, node in self._walk():
             model_b += node.mlp.size_bytes() + 32  # MBR per sub-model
             if isinstance(node, _Inner):
                 model_b += 12 * len(node.children)  # child table entries
-                for c in node.children.values():
-                    walk(c)
             else:
                 model_b += 16  # base/nblk/errs
-
-        walk(self.root)
         retired = self.retired_blocks * (
             self.bf.HEADER_BYTES + self.bf.cap * self.bf.POINT_BYTES
         )

@@ -16,6 +16,14 @@ def of_points(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
     return (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
 
 
+def cells(b, side: int, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row of each point ``(x, y)`` on a ``side x side`` grid
+    over ``b``, clamped into the grid; a zero-width side counts as 1."""
+    cx = ((np.asarray(x) - b[0]) / ((b[2] - b[0]) or 1.0) * side).astype(np.int64)
+    cy = ((np.asarray(y) - b[1]) / ((b[3] - b[1]) or 1.0) * side).astype(np.int64)
+    return np.clip(cx, 0, side - 1), np.clip(cy, 0, side - 1)
+
+
 def merge(a, b) -> tuple[float, float, float, float]:
     return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
 
@@ -26,14 +34,6 @@ def expand(a, x: float, y: float) -> tuple[float, float, float, float]:
 
 def intersects(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
-def area(a) -> float:
-    return max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
-
-
-def margin(a) -> float:
-    return max(0.0, a[2] - a[0]) + max(0.0, a[3] - a[1])
 
 
 def mindist(a, x: float, y: float) -> float:

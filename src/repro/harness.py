@@ -1,8 +1,8 @@
 """Experiment harness: index factory, measurement, and table formatting.
 
-Every experiment in :mod:`repro.experiments` and every ``benchmarks/``
-target goes through these helpers so that timing/accesses/recall are
-measured identically for every index. All scales are env-tunable:
+Every experiment in :mod:`repro.experiments` goes through these helpers
+so that timing/accesses/recall are measured identically for every index.
+All scales are env-tunable:
 
 * ``REPRO_SCALE``   — fraction of paper scale (default 0.01: paper's
   default n = 16M -> ours 160k).

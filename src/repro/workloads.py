@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geo import mbr as M
+
 WINDOW_SIZES_PCT = (0.0006, 0.0025, 0.01, 0.04, 0.16)
 ASPECT_RATIOS = (0.25, 0.5, 1.0, 2.0, 4.0)
 K_VALUES = (1, 5, 25, 125, 625)
@@ -21,12 +23,7 @@ DEFAULT_K = 25
 
 
 def data_bbox(xy: np.ndarray) -> tuple[float, float, float, float]:
-    return (
-        float(xy[:, 0].min()),
-        float(xy[:, 1].min()),
-        float(xy[:, 0].max()),
-        float(xy[:, 1].max()),
-    )
+    return M.of_points(xy[:, 0], xy[:, 1])
 
 
 def window_queries(

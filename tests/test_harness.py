@@ -1,4 +1,4 @@
-"""Harness smoke tests (the machinery behind jobs/ and benchmarks/)."""
+"""Harness smoke tests (the machinery behind jobs/)."""
 import numpy as np
 import pytest
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro import workloads
-from repro.core.rsmi import RSMI
+from repro.core.rsmi import RSMI, _Inner
 from tests.conftest import make_dataset, small_rsmi_params
 
 
@@ -173,3 +173,25 @@ def test_inserted_points_found_and_deleted_on_osm():
         or idx.delete(float(x), float(y)) != pid
     ]
     assert lost == []
+
+
+def test_max_errors_reads_only_live_leaves():
+    """After RSMIr rebuilds, Table 4's bounds come from the leaves reachable
+    from the root, not from the leaves the rebuilds replaced."""
+    ids, xy = make_dataset("skewed")
+    idx = RSMI(small_rsmi_params()).build(ids, xy)
+    _, nxy = make_dataset("skewed", 3000, 7)
+    for pid, (x, y) in enumerate(nxy, start=len(ids)):
+        idx.insert(pid, float(x), float(y))
+    assert idx.rebuild_oversized() > 0
+    live, stack = [], [idx.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Inner):
+            stack.extend(node.children.values())
+        else:
+            live.append(node)
+    assert idx.max_errors() == (
+        max(lf.err_l for lf in live),
+        max(lf.err_a for lf in live),
+    )

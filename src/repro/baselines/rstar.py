@@ -129,9 +129,9 @@ class RStarTree(TreeIndex):
 
     def _insert(self, node: TNode, pid: int, x: float, y: float) -> TNode | None:
         if node.is_leaf:
-            b = self.bf.blocks[node.blk]
-            if b.add(pid, x, y):
-                node.mbr = M.expand(node.mbr, x, y) if b.count > 1 else (x, y, x, y)
+            if self.bf.blocks[node.blk].count < self.bf.cap:
+                self.bf.insert_into(node.blk, pid, x, y)
+                node.recompute_mbr(self.bf)
                 return None
             if not self._reinsert_done and node is not self.root:
                 self._forced_reinsert(node, pid, x, y)
@@ -147,35 +147,34 @@ class RStarTree(TreeIndex):
                 return self._split_inner(node)
         return None
 
+    def _points_with(self, leaf: TNode, pid: int, x: float, y: float):
+        """The leaf's points plus the new one, as ``(ids, xs, ys)`` copies."""
+        b = self.bf.blocks[leaf.blk]
+        return (
+            np.append(b.live_ids, pid),
+            np.append(b.live_xs, x),
+            np.append(b.live_ys, y),
+        )
+
     def _forced_reinsert(self, leaf: TNode, pid: int, x: float, y: float) -> None:
         self._reinsert_done = True
-        b = self.bf.blocks[leaf.blk]
-        pts_id = np.append(b.live_ids.copy(), pid)
-        pts_x = np.append(b.live_xs.copy(), x)
-        pts_y = np.append(b.live_ys.copy(), y)
+        pts_id, pts_x, pts_y = self._points_with(leaf, pid, x, y)
         cx = (pts_x.min() + pts_x.max()) / 2
         cy = (pts_y.min() + pts_y.max()) / 2
         order = np.argsort(np.hypot(pts_x - cx, pts_y - cy), kind="stable")
         n_re = max(1, int(_REINSERT_FRAC * len(pts_id)))
         keep, re = order[: len(order) - n_re], order[len(order) - n_re :]
-        b.count = 0
-        for i in keep:
-            b.add(int(pts_id[i]), float(pts_x[i]), float(pts_y[i]))
+        self.bf.refill(leaf.blk, pts_id[keep], pts_x[keep], pts_y[keep])
         leaf.recompute_mbr(self.bf)
         for i in re:
             pid_i, x_i, y_i = int(pts_id[i]), float(pts_x[i]), float(pts_y[i])
             self._grow_root(self._insert(self.root, pid_i, x_i, y_i))
 
     def _split_leaf(self, leaf: TNode, pid: int, x: float, y: float) -> TNode:
-        b = self.bf.blocks[leaf.blk]
-        pts_id = np.append(b.live_ids.copy(), pid)
-        pts_x = np.append(b.live_xs.copy(), x)
-        pts_y = np.append(b.live_ys.copy(), y)
+        pts_id, pts_x, pts_y = self._points_with(leaf, pid, x, y)
         mbrs = np.stack([pts_x, pts_y, pts_x, pts_y], axis=1)
         li, ri = _split_mbrs(mbrs)
-        b.count = 0
-        for i in li:
-            b.add(int(pts_id[i]), float(pts_x[i]), float(pts_y[i]))
+        self.bf.refill(leaf.blk, pts_id[li], pts_x[li], pts_y[li])
         leaf.recompute_mbr(self.bf)
         blk = self.bf.pack(pts_id[ri], pts_x[ri], pts_y[ri])
         new = TNode(True, blk)

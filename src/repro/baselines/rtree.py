@@ -39,7 +39,7 @@ class TNode:
 
     def recompute_mbr(self, bf) -> None:
         if self.is_leaf:
-            self.mbr = bf.mbr_of(self.blk)
+            self.mbr = tuple(bf.mbrs[self.blk].tolist())
         else:
             m = M.EMPTY
             for c in self.children:
@@ -125,27 +125,17 @@ class TreeIndex(SpatialIndex):
             node = node.children[0]
         return h
 
-    def _count_nodes(self) -> tuple[int, int]:
-        inner = leaves = 0
+    def size_bytes(self) -> int:
+        # 40 bytes per directory entry (MBR + pointer), one per child /
+        # leaf reference, plus a header per inner page.
+        inner = entries = 0
         stack = [self.root]
         while stack:
             n = stack.pop()
             if n.is_leaf:
-                leaves += 1
+                entries += 1
             else:
                 inner += 1
-                stack.extend(n.children)
-        return inner, leaves
-
-    def size_bytes(self) -> int:
-        inner, leaves = self._count_nodes()
-        # 40 bytes per directory entry (MBR + pointer), one per child /
-        # leaf reference, plus a header per inner page.
-        entries = leaves
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if not n.is_leaf:
                 entries += len(n.children)
                 stack.extend(n.children)
         return self.bf.size_bytes() + entries * 40 + inner * 32

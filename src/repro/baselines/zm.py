@@ -156,13 +156,13 @@ class ZM(SpatialIndex):
             j += 1
 
     def point_query(self, x: float, y: float):
-        z = int(self._to_z(np.array([x]), np.array([y]))[0])
+        z = int(self._to_z(x, y))
         return self.bf.find(self._candidate_blocks(z), x, y)
 
     # ------------------------------------------------------------------
     def _window_pts(self, xlo, ylo, xhi, yhi):
-        zl = int(self._to_z(np.array([xlo]), np.array([ylo]))[0])
-        zh = int(self._to_z(np.array([xhi]), np.array([yhi]))[0])
+        zl = int(self._to_z(xlo, ylo))
+        zh = int(self._to_z(xhi, yhi))
         bl, el, _ = self._predict(zl)
         bh, _, ea = self._predict(zh)
         begin = max(0, min(bl - el, bh))
@@ -185,7 +185,7 @@ class ZM(SpatialIndex):
         ranges must grow to stay valid under insertions). Keeps point,
         window, and kNN queries correct at the cost of gradually wider
         scans, which is exactly the degradation the paper measures."""
-        z = int(self._to_z(np.array([x]), np.array([y]))[0])
+        z = int(self._to_z(x, y))
         pos = int(np.searchsorted(self._blk_zmin, z, side="right")) - 1
         blk = max(0, pos)
         self.bf.charge(max(1, int(np.log2(self.nblk + 1))))  # locate cost
@@ -196,7 +196,7 @@ class ZM(SpatialIndex):
         self.n_points += 1
 
     def delete(self, x: float, y: float):
-        z = int(self._to_z(np.array([x]), np.array([y]))[0])
+        z = int(self._to_z(x, y))
         pid = self.bf.remove(self._candidate_blocks(z), x, y)
         if pid is not None:
             self.n_points -= 1

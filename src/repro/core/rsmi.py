@@ -192,7 +192,6 @@ class _Leaf:
     err_l: int
     err_a: int
     mbr: tuple = M.EMPTY
-    blk_mbrs: np.ndarray = None  # (nblk, 4), maintained on insert
     n_points: int = 0
 
     def predict_block(self, x: float, y: float) -> int:
@@ -219,7 +218,6 @@ class RSMI(SpatialIndex):
         self.root = None
         self.pmf_x = None
         self.pmf_y = None
-        self.retired_blocks = 0
 
     # ------------------------------------------------------------------
     # Build
@@ -288,9 +286,6 @@ class RSMI(SpatialIndex):
                 n_points=len(payload["ids"]),
             )
             leaf.mbr = payload["bbox"]
-            leaf.blk_mbrs = np.array(
-                [self.bf.blocks[base + j].mbr() for j in range(payload["nblk"])]
-            )
             if path == ():
                 self.root = leaf
             else:
@@ -396,7 +391,8 @@ class RSMI(SpatialIndex):
                     if M.intersects(child.mbr, rect):
                         stack.append(child)
                 continue
-            yield from node.base + np.flatnonzero(M.v_intersects(node.blk_mbrs, rect))
+            mbrs = self.bf.mbrs[node.base : node.base + node.nblk]
+            yield from node.base + np.flatnonzero(M.v_intersects(mbrs, rect))
 
     def knn_query_exact(self, x: float, y: float, k: int) -> np.ndarray:
         """Best-first search [40] over sub-model and block MBRs; a block
@@ -408,7 +404,8 @@ class RSMI(SpatialIndex):
                 kids = node.children.values()
                 return None, [(M.mindist(c.mbr, x, y), c) for c in kids]
             if isinstance(node, _Leaf):
-                dd = M.v_mindist(node.blk_mbrs, x, y).tolist()
+                mbrs = self.bf.mbrs[node.base : node.base + node.nblk]
+                dd = M.v_mindist(mbrs, x, y).tolist()
                 return None, zip(dd, ((node.base + j,) for j in range(node.nblk)))
             return self.bf.scan(node), ()
 
@@ -419,9 +416,7 @@ class RSMI(SpatialIndex):
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
         leaf, path = self._descend(x, y)
-        j = leaf.predict_block(x, y)
-        self.bf.insert_into(leaf.base + j, pid, x, y)
-        leaf.blk_mbrs[j] = M.expand(leaf.blk_mbrs[j], x, y)
+        self.bf.insert_into(leaf.base + leaf.predict_block(x, y), pid, x, y)
         leaf.mbr = M.expand(leaf.mbr, x, y)
         leaf.n_points += 1
         for node in path:
@@ -453,16 +448,8 @@ class RSMI(SpatialIndex):
             if isinstance(node, _Leaf) and node.n_points > self.params.N
         ]
         for parent, key, leaf in oversized:
-            ids, xs, ys = [], [], []
-            for j in range(leaf.nblk):
-                for b in self.bf.chain_uncounted(leaf.base + j):
-                    ids.append(b.live_ids.copy())
-                    xs.append(b.live_xs.copy())
-                    ys.append(b.live_ys.copy())
-                    b.count = 0  # retire
-                self.retired_blocks += 1 + self.bf.overflow_len(leaf.base + j)
-            ids = np.concatenate(ids)
-            xy = np.stack([np.concatenate(xs), np.concatenate(ys)], axis=1)
+            ids, xs, ys = self.bf.retire(range(leaf.base, leaf.base + leaf.nblk))
+            xy = np.stack([xs, ys], axis=1)
             sub = RSMI(self.params)
             # Build the replacement sub-tree against *this* block file so
             # its new leaves get fresh block ids at the end of the file.
@@ -518,8 +505,5 @@ class RSMI(SpatialIndex):
                 model_b += 12 * len(node.children)  # child table entries
             else:
                 model_b += 16  # base/nblk/errs
-        retired = self.retired_blocks * (
-            self.bf.HEADER_BYTES + self.bf.cap * self.bf.POINT_BYTES
-        )
         pmf_b = self.pmf_x.size_bytes() + self.pmf_y.size_bytes()
-        return self.bf.size_bytes() - retired + model_b + pmf_b
+        return self.bf.size_bytes() + model_b + pmf_b

@@ -15,7 +15,9 @@ are never reclaimed on underflow, preserving error-bound validity.
 
 Queries never touch blocks directly: an index names the primary blocks to
 visit, in order, and :meth:`BlockFile.find`, :meth:`BlockFile.scan` or
-:meth:`BlockFile.remove` reads, counts and filters their chains.
+:meth:`BlockFile.remove` reads, counts and filters their chains. Nor do
+indices write them: every write goes through :class:`BlockFile`, which
+keeps each chain's MBR up to date as it does.
 """
 from __future__ import annotations
 
@@ -56,12 +58,6 @@ class Block:
     def live_ys(self) -> np.ndarray:
         return self.ys[: self.count]
 
-    def mbr(self) -> tuple[float, float, float, float]:
-        if self.count == 0:
-            return (np.inf, np.inf, -np.inf, -np.inf)
-        xs, ys = self.live_xs, self.live_ys
-        return (float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
-
     def find(self, x: float, y: float) -> int | None:
         """Id of the point with exactly these coordinates, else None."""
         hit = np.flatnonzero((self.live_xs == x) & (self.live_ys == y))
@@ -97,6 +93,12 @@ class BlockFile:
     learned models predict. The logical scan order is primary block ``i``
     followed by its overflow chain, then ``i+1``, matching the paper's
     linked-block layout.
+
+    ``mbrs[i]`` is the MBR of chain ``i``: set exactly whenever the chain
+    is written (:meth:`pack`, :meth:`refill`), grown by
+    :meth:`insert_into` and never shrunk by a delete, so it covers every
+    live point of the chain. MBRs live in the index, not on disk: reading
+    one costs no access.
     """
 
     HEADER_BYTES = 32  # next/prev pointers + count + flags
@@ -106,26 +108,45 @@ class BlockFile:
         self.cap = cap
         self.blocks: list[Block] = []
         self._overflow: dict[int, list[Block]] = {}
+        self._mbrs = np.empty((0, 4))  # grown by doubling; rows past n_primary unused
+        self._retired = 0
         self.accesses = 0
 
-    # -- construction ------------------------------------------------------
+    # -- writes --------------------------------------------------------------
     def pack(self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int:
         """Pack already-ordered points into ``ceil(n/cap)`` new primary
-        blocks; returns the id of the first block created."""
+        blocks, at least one (a leaf always owns a block, maybe empty);
+        returns the id of the first block created."""
         base = len(self.blocks)
-        n = len(ids)
-        for s in range(0, n, self.cap):
-            e = min(s + self.cap, n)
-            b = Block(self.cap)
-            m = e - s
-            b.ids[:m] = ids[s:e]
-            b.xs[:m] = xs[s:e]
-            b.ys[:m] = ys[s:e]
-            b.count = m
-            self.blocks.append(b)
-        if n == 0:  # a leaf always owns at least one (empty) block
-            self.blocks.append(Block(self.cap))
+        starts = range(0, max(len(ids), 1), self.cap)
+        self.blocks.extend(Block(self.cap) for _ in starts)
+        if len(self._mbrs) < len(self.blocks):
+            self._mbrs = np.concatenate([self._mbrs, np.empty((len(self.blocks), 4))])
+        for i, s in enumerate(starts, base):
+            e = s + self.cap
+            self.refill(i, ids[s:e], xs[s:e], ys[s:e])
         return base
+
+    def refill(self, i: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Make chain ``i`` hold exactly these points (at most ``cap``), in
+        order, in its primary block; its overflow blocks are dropped."""
+        b = self.blocks[i]
+        m = len(ids)
+        b.ids[:m], b.xs[:m], b.ys[:m] = ids, xs, ys
+        b.count = m
+        self._overflow.pop(i, None)
+        self._mbrs[i] = M.of_points(xs, ys) if m else M.EMPTY
+
+    def retire(self, blocks: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Empty the chains of ``blocks`` and stop counting them in
+        :meth:`size_bytes`; returns their live points in logical order."""
+        blocks = list(blocks)
+        pts = self._points(b for i in blocks for b in self.chain_uncounted(i))
+        none = np.empty(0)
+        for i in blocks:
+            self.refill(i, none, none, none)
+        self._retired += len(blocks)
+        return pts
 
     # -- access-counted reads ---------------------------------------------
     def charge(self, k: int = 1) -> None:
@@ -187,6 +208,7 @@ class BlockFile:
     def insert_into(self, i: int, pid: int, x: float, y: float) -> bool:
         """Insert into primary block ``i`` or its chain; returns True if a
         new overflow block had to be created."""
+        self._mbrs[i] = M.expand(self._mbrs[i], x, y)
         for b in self.chain_uncounted(i):
             if b.add(pid, x, y):
                 return False
@@ -212,27 +234,19 @@ class BlockFile:
         return len(self.blocks)
 
     @property
+    def mbrs(self) -> np.ndarray:
+        """``(n_primary, 4)``: row ``i`` is the MBR of chain ``i``."""
+        return self._mbrs[: len(self.blocks)]
+
+    @property
     def n_overflow(self) -> int:
         return sum(len(v) for v in self._overflow.values())
 
     def overflow_len(self, i: int) -> int:
         return len(self._overflow.get(i, ()))
 
-    def mbr_of(self, i: int) -> tuple[float, float, float, float]:
-        """MBR over primary block ``i`` and its chain (not access-counted:
-        MBRs live in the index, not on disk)."""
-        lo_x = lo_y = np.inf
-        hi_x = hi_y = -np.inf
-        for b in self.chain_uncounted(i):
-            if b.count:
-                lo_x = min(lo_x, b.live_xs.min())
-                lo_y = min(lo_y, b.live_ys.min())
-                hi_x = max(hi_x, b.live_xs.max())
-                hi_y = max(hi_y, b.live_ys.max())
-        return (lo_x, lo_y, hi_x, hi_y)
-
     def size_bytes(self) -> int:
-        nb = self.n_primary + self.n_overflow
+        nb = self.n_primary - self._retired + self.n_overflow
         return nb * (self.HEADER_BYTES + self.cap * self.POINT_BYTES)
 
     def reset_stats(self) -> None:
@@ -240,13 +254,19 @@ class BlockFile:
 
     def all_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every live point in logical order (for verification)."""
-        ids, xs, ys = [], [], []
-        for i in range(self.n_primary):
-            for b in self.chain_uncounted(i):
-                ids.append(b.live_ids.copy())
-                xs.append(b.live_xs.copy())
-                ys.append(b.live_ys.copy())
-        if not ids:
-            z = np.empty(0)
-            return z.astype(np.int64), z, z
-        return np.concatenate(ids), np.concatenate(xs), np.concatenate(ys)
+        return self._points(
+            b for i in range(self.n_primary) for b in self.chain_uncounted(i)
+        )
+
+    @staticmethod
+    def _points(chain_blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live ``(ids, xs, ys)`` of the given blocks, concatenated."""
+        live = [b for b in chain_blocks if b.count]
+        if not live:
+            e = np.empty(0)
+            return e.astype(np.int64), e, e
+        return (
+            np.concatenate([b.live_ids for b in live]),
+            np.concatenate([b.live_xs for b in live]),
+            np.concatenate([b.live_ys for b in live]),
+        )

@@ -38,6 +38,14 @@ def _digest(parts) -> str:
     return h.hexdigest()[:16]
 
 
+def new_points(ids: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The 400 inserted points, as ``(pid, x, y)`` rows: base points
+    jittered by N(0, 1e-3), clipped to the unit square."""
+    rng = np.random.default_rng(13)
+    new_xy = np.clip(xy[rng.integers(0, len(xy), 400)] + rng.normal(0, 1e-3, (400, 2)), 0, 1)
+    return np.column_stack([np.arange(len(ids), len(ids) + 400), new_xy])
+
+
 def measure(name: str, ids: np.ndarray, xy: np.ndarray) -> dict:
     """``op -> (block accesses, answer digest)`` for one fresh index."""
     idx = _build(name, ids, xy)
@@ -59,10 +67,7 @@ def measure(name: str, ids: np.ndarray, xy: np.ndarray) -> dict:
         run("window_exact", idx.window_query_exact, rects)
         run("knn_exact", lambda x, y: idx.knn_query_exact(x, y, K), qs)
 
-    rng = np.random.default_rng(13)
-    new_xy = np.clip(xy[rng.integers(0, len(xy), 400)] + rng.normal(0, 1e-3, (400, 2)), 0, 1)
-    new = np.column_stack([np.arange(len(ids), len(ids) + 400), new_xy])
-    run("insert", lambda pid, x, y: idx.insert(int(pid), x, y), new)
+    run("insert", lambda pid, x, y: idx.insert(int(pid), x, y), new_points(ids, xy))
     out["insert"] = (out["insert"][0], _digest(idx.bf.all_points()))
     run("delete", idx.delete, xy[::5])
     return out

@@ -184,13 +184,14 @@ def test_delete_then_insert_reuses_space():
 def test_mbr_of_includes_overflow():
     bf, *_ = _bf(10, 10)
     bf.insert_into(0, 55, 7.0, 9.0)
-    m = bf.mbr_of(0)
+    m = bf.mbrs[0]
     assert m[2] == 7.0 and m[3] == 9.0
 
 
 def test_block_mbr_empty():
-    b = Block(4)
-    m = b.mbr()
+    bf = BlockFile(4)
+    bf.pack(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    m = bf.mbrs[0]
     assert m[0] == np.inf and m[2] == -np.inf
 
 

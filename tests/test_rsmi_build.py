@@ -10,7 +10,8 @@ from repro.core.rsmi import (
     grid_cell_values,
     path_seed,
 )
-from tests.conftest import DISTS, make_dataset, small_rsmi_params
+from tests.conftest import DISTS, _build, make_dataset, small_rsmi_params
+from tests.test_block_accesses import INDICES, new_points
 
 
 def _leaves(idx):
@@ -124,15 +125,36 @@ def test_mbrs_contain_children(built_indices, datasets):
                 stack.append(c)
 
 
-def test_block_mbrs_cover_block_points(built_indices):
-    idx = built_indices("RSMI", "normal")
-    for leaf in _leaves(idx):
-        for j in range(leaf.nblk):
-            b = idx.bf.blocks[leaf.base + j]
+def _assert_mbrs_cover(bf, chains):
+    for i in chains:
+        m = bf.mbrs[i]
+        for b in bf.chain_uncounted(i):
             if b.count:
-                m = leaf.blk_mbrs[j]
                 assert m[0] <= b.live_xs.min() and m[2] >= b.live_xs.max()
                 assert m[1] <= b.live_ys.min() and m[3] >= b.live_ys.max()
+
+
+@pytest.mark.parametrize("name", INDICES)
+def test_block_mbrs_cover_block_points(datasets, name):
+    """Every chain's MBR in the block file covers its live points at
+    build, after the pinned insert sequence, after its deletes, and (RSMI)
+    over the live leaves after an RSMIr rebuild."""
+    ids, xy = datasets["skewed"]
+    idx = _build(name, ids, xy)
+    _assert_mbrs_cover(idx.bf, range(idx.bf.n_primary))
+    for pid, x, y in new_points(ids, xy):
+        idx.insert(int(pid), float(x), float(y))
+    _assert_mbrs_cover(idx.bf, range(idx.bf.n_primary))
+    for x, y in xy[::5]:
+        idx.delete(float(x), float(y))
+    _assert_mbrs_cover(idx.bf, range(idx.bf.n_primary))
+    if name == "RSMI":
+        _, nxy = make_dataset("skewed", 3000, 7)
+        for pid, (x, y) in enumerate(nxy, start=2 * len(ids)):
+            idx.insert(pid, float(x), float(y))
+        assert idx.rebuild_oversized() > 0
+        for leaf in _leaves(idx):
+            _assert_mbrs_cover(idx.bf, range(leaf.base, leaf.base + leaf.nblk))
 
 
 def test_grid_cell_values_equidepth():

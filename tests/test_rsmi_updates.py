@@ -5,6 +5,7 @@ import pytest
 from repro import workloads
 from repro.core.rsmi import RSMI, _Inner
 from tests.conftest import make_dataset, small_rsmi_params
+from tests.test_block_accesses import _digest
 
 
 @pytest.fixture()
@@ -175,15 +176,27 @@ def test_inserted_points_found_and_deleted_on_osm():
     assert lost == []
 
 
-def test_max_errors_reads_only_live_leaves():
-    """After RSMIr rebuilds, Table 4's bounds come from the leaves reachable
-    from the root, not from the leaves the rebuilds replaced."""
+@pytest.fixture(scope="module")
+def rebuilt():
+    """The conftest skewed RSMI after 3000 more skewed inserts and one
+    RSMIr pass: ``(index, all ids, all points, sizes before/after, leaves
+    rebuilt)``."""
     ids, xy = make_dataset("skewed")
     idx = RSMI(small_rsmi_params()).build(ids, xy)
     _, nxy = make_dataset("skewed", 3000, 7)
     for pid, (x, y) in enumerate(nxy, start=len(ids)):
         idx.insert(pid, float(x), float(y))
-    assert idx.rebuild_oversized() > 0
+    size0 = idx.size_bytes()
+    n = idx.rebuild_oversized()
+    all_ids = np.arange(len(ids) + len(nxy), dtype=np.int64)
+    return idx, all_ids, np.concatenate([xy, nxy]), (size0, idx.size_bytes()), n
+
+
+def test_max_errors_reads_only_live_leaves(rebuilt):
+    """After RSMIr rebuilds, Table 4's bounds come from the leaves reachable
+    from the root, not from the leaves the rebuilds replaced."""
+    idx, _, _, _, n = rebuilt
+    assert n > 0
     live, stack = [], [idx.root]
     while stack:
         node = stack.pop()
@@ -195,3 +208,21 @@ def test_max_errors_reads_only_live_leaves():
         max(lf.err_l for lf in live),
         max(lf.err_a for lf in live),
     )
+
+
+def test_rsmir_rebuild_pinned(rebuilt):
+    """The block file retires a rebuilt leaf's chains: what a rebuild
+    returns, what it does to the size, and what RSMIa then answers and
+    costs stay as recorded before the block MBRs moved into storage."""
+    idx, all_ids, all_xy, sizes, n = rebuilt
+    assert n == 6
+    assert sizes == (196148, 202644)
+    assert idx.max_errors() == (5, 5)
+    idx.reset_stats()
+    rects = workloads.window_queries(all_xy, 30, size_pct=0.5, seed=11)
+    answers = [idx.window_query_exact(*map(float, r)) for r in rects]
+    answers += [idx.knn_query_exact(float(x), float(y), 10) for x, y in all_xy[::50]]
+    assert (idx.block_accesses, _digest(answers)) == (3007, "60efdd60152b36fc")
+    for r, got in zip(rects, answers):
+        truth = workloads.window_truth(all_ids, all_xy, r)
+        assert sorted(got.tolist()) == sorted(truth.tolist())

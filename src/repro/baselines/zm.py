@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.baselines.api import SpatialIndex, expansion_knn
 from repro.geo import mbr as M
-from repro.geo.sfc import z_encode
+from repro.geo.sfc import z_encode, z_encode_one
 from repro.ml.mlp import MLP, hidden_for
 from repro.ml.pmf import PiecewiseCDF
 
@@ -50,6 +50,11 @@ class ZM(SpatialIndex):
     def _to_z(self, x, y) -> np.ndarray:
         bits = self.params.bits
         return z_encode(*M.cells(self.bbox, 1 << bits, x, y), bits)
+
+    def _z_of(self, x: float, y: float) -> int:
+        """:meth:`_to_z` of one point, on Python numbers: the same cell and
+        the same bits, without numpy's per-call cost."""
+        return z_encode_one(*M.cell(self.bbox, 1 << self.params.bits, x, y))
 
     def build(self, ids: np.ndarray, xy: np.ndarray) -> "ZM":
         t0 = time.perf_counter()
@@ -156,13 +161,13 @@ class ZM(SpatialIndex):
             j += 1
 
     def point_query(self, x: float, y: float):
-        z = int(self._to_z(x, y))
+        z = self._z_of(x, y)
         return self.bf.find(self._candidate_blocks(z), x, y)
 
     # ------------------------------------------------------------------
     def _window_pts(self, xlo, ylo, xhi, yhi):
-        zl = int(self._to_z(xlo, ylo))
-        zh = int(self._to_z(xhi, yhi))
+        zl = self._z_of(xlo, ylo)
+        zh = self._z_of(xhi, yhi)
         bl, el, _ = self._predict(zl)
         bh, _, ea = self._predict(zh)
         begin = max(0, min(bl - el, bh))
@@ -185,7 +190,7 @@ class ZM(SpatialIndex):
         ranges must grow to stay valid under insertions). Keeps point,
         window, and kNN queries correct at the cost of gradually wider
         scans, which is exactly the degradation the paper measures."""
-        z = int(self._to_z(x, y))
+        z = self._z_of(x, y)
         pos = int(np.searchsorted(self._blk_zmin, z, side="right")) - 1
         blk = max(0, pos)
         self.bf.charge(max(1, int(np.log2(self.nblk + 1))))  # locate cost
@@ -196,7 +201,7 @@ class ZM(SpatialIndex):
         self.n_points += 1
 
     def delete(self, x: float, y: float):
-        z = int(self._to_z(x, y))
+        z = self._z_of(x, y)
         pid = self.bf.remove(self._candidate_blocks(z), x, y)
         if pid is not None:
             self.n_points -= 1

@@ -19,7 +19,11 @@ Error-bound convention: ``err_l`` is the maximum amount the model
 *over*-predicts (so the search extends ``err_l`` blocks to the left of
 the prediction) and ``err_a`` the maximum it *under*-predicts (search to
 the right); scanning ``[pred - err_l, pred + err_a]`` therefore never
-misses an indexed point, which is what Algorithm 1 requires.
+misses an indexed point, which is what Algorithm 1 requires. Within that
+range a point query, delete or window reads only the blocks whose chain
+MBR can hold an answer: an MBR covers every live point of its chain, so
+the filter drops reads, never answers (a deviation from Algorithm 1; see
+DESIGN.md section 3).
 """
 from __future__ import annotations
 
@@ -81,13 +85,23 @@ def _slots(mlp: MLP, bbox: tuple, xy: np.ndarray, n: int) -> np.ndarray:
     return np.clip(np.rint(p * max(1, n - 1)), 0, n - 1).astype(np.int64)
 
 
+# Where an infinite (or overflowing) coordinate makes ``_forward`` sum
+# infinite terms of opposite sign into NaN, :func:`_slot` evaluates the
+# model again with the normalised coordinates clamped to this many node
+# widths; a built node's points normalise into [0, 1].
+_FAR = 1e12
+
+
 def _slot(mlp: MLP, bbox: tuple, x: float, y: float, n: int) -> int:
     """The slot of one point. The same IEEE operations as :func:`_norm`
     and :func:`_slots` (``round`` and ``np.rint`` both round half to even),
     so a query computes bit for bit what the build grouped and bounded."""
     xn = (x - bbox[0]) / ((bbox[2] - bbox[0]) or 1.0)
     yn = (y - bbox[1]) / ((bbox[3] - bbox[1]) or 1.0)
-    return min(max(round(mlp.predict_one(xn, yn) * max(1, n - 1)), 0), n - 1)
+    p = mlp.predict_one(xn, yn)
+    if p != p:
+        p = mlp.predict_one(min(max(xn, -_FAR), _FAR), min(max(yn, -_FAR), _FAR))
+    return min(max(round(p * max(1, n - 1)), 0), n - 1)
 
 
 def grid_cell_values(
@@ -326,11 +340,12 @@ class RSMI(SpatialIndex):
             node = child
         return node, path
 
-    @staticmethod
-    def _error_range(leaf: _Leaf, x: float, y: float):
-        """The blocks of ``leaf``'s error range for (x, y), predicted block
-        first, then outward."""
-        return center_out(*leaf.search_range(x, y))
+    def _error_range(self, leaf: _Leaf, x: float, y: float):
+        """The blocks of ``leaf``'s error range for (x, y) whose chain MBR
+        contains it, predicted block first, then outward (lazily, so a
+        lookup stops reading at its hit)."""
+        j, lo, hi = leaf.search_range(x, y)
+        return self.bf.meeting((x, y, x, y), lo, hi, center_out(j, lo, hi))
 
     # ------------------------------------------------------------------
     # Point query (Algorithm 1)
@@ -352,10 +367,11 @@ class RSMI(SpatialIndex):
         return begin, end
 
     def window_query_blocks(self, xlo, ylo, xhi, yhi):
-        """Candidate points from the block-range scan (before the final
-        containment filter); shared by window and kNN paths."""
+        """Candidate points of the blocks in the corners' range whose chain
+        MBR meets the window (before the final containment filter); shared
+        by window and kNN paths."""
         begin, end = self._corner_bounds(xlo, ylo, xhi, yhi)
-        return self.bf.scan(range(begin, end + 1))
+        return self.bf.scan(self.bf.meeting((xlo, ylo, xhi, yhi), begin, end))
 
     def _window_pts(self, xlo, ylo, xhi, yhi):
         ids, xs, ys = self.window_query_blocks(xlo, ylo, xhi, yhi)
@@ -391,8 +407,7 @@ class RSMI(SpatialIndex):
                     if M.intersects(child.mbr, rect):
                         stack.append(child)
                 continue
-            mbrs = self.bf.mbrs[node.base : node.base + node.nblk]
-            yield from node.base + np.flatnonzero(M.v_intersects(mbrs, rect))
+            yield from self.bf.meeting(rect, node.base, node.base + node.nblk - 1)
 
     def knn_query_exact(self, x: float, y: float, k: int) -> np.ndarray:
         """Best-first search [40] over sub-model and block MBRs; a block
@@ -504,6 +519,6 @@ class RSMI(SpatialIndex):
             if isinstance(node, _Inner):
                 model_b += 12 * len(node.children)  # child table entries
             else:
-                model_b += 16  # base/nblk/errs
+                model_b += 16 + 32 * node.nblk  # base/nblk/errs, block MBRs
         pmf_b = self.pmf_x.size_bytes() + self.pmf_y.size_bytes()
         return self.bf.size_bytes() + model_b + pmf_b

@@ -18,10 +18,25 @@ def of_points(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
 
 def cells(b, side: int, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Column and row of each point ``(x, y)`` on a ``side x side`` grid
-    over ``b``, clamped into the grid; a zero-width side counts as 1."""
-    cx = ((np.asarray(x) - b[0]) / ((b[2] - b[0]) or 1.0) * side).astype(np.int64)
-    cy = ((np.asarray(y) - b[1]) / ((b[3] - b[1]) or 1.0) * side).astype(np.int64)
-    return np.clip(cx, 0, side - 1), np.clip(cy, 0, side - 1)
+    over ``b``, clamped into the grid; a zero-width side counts as 1.
+    The clamp comes before the cast to int, which would turn an infinite
+    or huge coordinate into INT64_MIN; NaN lands in cell 0."""
+    fx = (np.asarray(x) - b[0]) / ((b[2] - b[0]) or 1.0) * side
+    fy = (np.asarray(y) - b[1]) / ((b[3] - b[1]) or 1.0) * side
+    hi = side - 1
+    return (
+        np.fmin(np.fmax(fx, 0), hi).astype(np.int64),
+        np.fmin(np.fmax(fy, 0), hi).astype(np.int64),
+    )
+
+
+def cell(b, side: int, x: float, y: float) -> tuple[int, int]:
+    """:func:`cells` of one point, on Python floats and ints: the same
+    IEEE operations, clamp and truncation."""
+    hi = side - 1
+    fx = (x - b[0]) / ((b[2] - b[0]) or 1.0) * side
+    fy = (y - b[1]) / ((b[3] - b[1]) or 1.0) * side
+    return int(min(hi, max(0.0, fx))), int(min(hi, max(0.0, fy)))
 
 
 def merge(a, b) -> tuple[float, float, float, float]:

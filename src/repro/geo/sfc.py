@@ -66,6 +66,21 @@ def z_encode(x, y, order: int) -> np.ndarray:
     return _part1by1(x) | (_part1by1(y) << 1)
 
 
+def _spread(v: int) -> int:
+    """:func:`_part1by1` of one value below ``2**32``, on Python ints."""
+    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
+    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v << 2)) & 0x3333333333333333
+    return (v | (v << 1)) & 0x5555555555555555
+
+
+def z_encode_one(x: int, y: int) -> int:
+    """:func:`z_encode` of one cell, on Python ints, without the range
+    check: the caller passes a cell already clamped into the grid."""
+    return _spread(x) | (_spread(y) << 1)
+
+
 def z_decode(z, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`z_encode`; returns ``(x, y)``."""
     z = _as_int64(z)

@@ -116,26 +116,40 @@ class BlockFile:
     def pack(self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int:
         """Pack already-ordered points into ``ceil(n/cap)`` new primary
         blocks, at least one (a leaf always owns a block, maybe empty);
-        returns the id of the first block created."""
+        returns the id of the first block created. The MBRs of the whole
+        run come from one ``reduceat`` per MBR side."""
         base = len(self.blocks)
-        starts = range(0, max(len(ids), 1), self.cap)
+        starts = np.arange(0, max(len(ids), 1), self.cap)
         self.blocks.extend(Block(self.cap) for _ in starts)
         if len(self._mbrs) < len(self.blocks):
             self._mbrs = np.concatenate([self._mbrs, np.empty((len(self.blocks), 4))])
-        for i, s in enumerate(starts, base):
+        for i, s in enumerate(starts.tolist(), base):
             e = s + self.cap
-            self.refill(i, ids[s:e], xs[s:e], ys[s:e])
+            self._write(i, ids[s:e], xs[s:e], ys[s:e])
+        if len(ids):
+            run = self._mbrs[base : len(self.blocks)]
+            run[:, 0] = np.minimum.reduceat(xs, starts)
+            run[:, 1] = np.minimum.reduceat(ys, starts)
+            run[:, 2] = np.maximum.reduceat(xs, starts)
+            run[:, 3] = np.maximum.reduceat(ys, starts)
+        else:
+            self._mbrs[base] = M.EMPTY
         return base
 
     def refill(self, i: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
         """Make chain ``i`` hold exactly these points (at most ``cap``), in
         order, in its primary block; its overflow blocks are dropped."""
+        self._write(i, ids, xs, ys)
+        self._mbrs[i] = M.of_points(xs, ys) if len(ids) else M.EMPTY
+
+    def _write(self, i: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Write chain ``i`` as :meth:`refill` does, leaving its MBR to the
+        caller."""
         b = self.blocks[i]
         m = len(ids)
         b.ids[:m], b.xs[:m], b.ys[:m] = ids, xs, ys
         b.count = m
         self._overflow.pop(i, None)
-        self._mbrs[i] = M.of_points(xs, ys) if m else M.EMPTY
 
     def retire(self, blocks: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Empty the chains of ``blocks`` and stop counting them in
@@ -199,6 +213,19 @@ class BlockFile:
             if pid is not None:
                 return pid
         return None
+
+    def meeting(self, rect, lo: int, hi: int, order: Iterable[int] | None = None):
+        """The primary blocks in ``[lo, hi]`` whose chain MBR meets the
+        closed ``rect`` (a point ``(x, y)`` is the rectangle ``(x, y, x,
+        y)``), lazily, in ``order`` (default ascending). Free: the MBRs live
+        in the index. The rows are read once, as Python floats, because
+        numpy calls on a few rows cost more than the block reads they save."""
+        xlo, ylo, xhi, yhi = rect
+        mbrs = self._mbrs[lo : hi + 1].tolist()
+        for i in range(lo, hi + 1) if order is None else order:
+            mxlo, mylo, mxhi, myhi = mbrs[i - lo]
+            if mxlo <= xhi and xlo <= mxhi and mylo <= yhi and ylo <= myhi:
+                yield i
 
     def chain_uncounted(self, i: int) -> list[Block]:
         """Same as :meth:`chain` but free — for building/verification."""

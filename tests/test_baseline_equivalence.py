@@ -77,3 +77,29 @@ def test_zm_knn_recall(built_indices, datasets, dist, k):
 def test_empty_window_everywhere(built_indices, name):
     idx = built_indices(name, "uniform")
     assert len(idx.window_query(5.0, 5.0, 6.0, 6.0)) == 0
+
+
+UNBOUNDED = [
+    (0.2, 0.0, np.inf, 0.3),
+    (-np.inf, -np.inf, 0.3, 0.3),
+    (0.2, 0.0, 1e300, 0.3),
+    (-1e300, 0.0, 0.4, 0.3),
+]
+
+
+@pytest.mark.parametrize("rect", UNBOUNDED)
+@pytest.mark.parametrize("name", EXACT + ("RSMI", "RSMIa"))
+def test_unbounded_window_corners(built_indices, datasets, name, rect):
+    """A window with an infinite or huge corner: the exact indices and
+    RSMIa return exactly the points inside, RSMI and ZM no point outside."""
+    ids, xy = datasets["skewed"]
+    truth = set(workloads.window_truth(ids, xy, rect).tolist())
+    if name == "RSMIa":
+        got = built_indices("RSMI", "skewed").window_query_exact(*rect).tolist()
+    else:
+        got = built_indices(name, "skewed").window_query(*rect).tolist()
+    assert len(got) == len(set(got))
+    if name in ("RSMI", "ZM"):
+        assert set(got) <= truth
+    else:
+        assert set(got) == truth

@@ -43,6 +43,17 @@ def test_zm_error_bounds_bound_all_points(built_indices, datasets):
         assert blk - el <= true_blk <= blk + ea
 
 
+def test_zm_scalar_z_equals_array_z(built_indices):
+    """One point's Z-value, on Python ints, is the build's array encoding
+    bit for bit, in and around the data space and at unbounded corners."""
+    idx = built_indices("ZM", "skewed")
+    xy = np.random.default_rng(4).uniform(-0.1, 1.1, (20_000, 2))
+    far = [np.inf, -np.inf, 1e300, -1e300, 0.0, 0.3]
+    xy = np.concatenate([xy, [(a, b) for a in far for b in far]])
+    want = idx._to_z(xy[:, 0], xy[:, 1]).tolist()
+    assert [idx._z_of(x, y) for x, y in xy.tolist()] == want
+
+
 def test_zm_points_sorted_by_z(built_indices):
     idx = built_indices("ZM", "osm")
     assert np.all(np.diff(idx._z_sorted) >= 0)

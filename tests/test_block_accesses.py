@@ -76,14 +76,14 @@ def measure(name: str, ids: np.ndarray, xy: np.ndarray) -> dict:
 # Recorded before the block-read path was unified; see CHANGES.md.
 PINNED = {
     ("RSMI", "skewed"): {
-        "point": (2064, "471132481522e959"),
-        "absent": (4483, "822b3054d3166027"),
-        "window": (620, "32647d706ae21baf"),
-        "knn": (844, "d9a28f563b72c7c9"),
+        "point": (518, "471132481522e959"),
+        "absent": (596, "822b3054d3166027"),
+        "window": (212, "32647d706ae21baf"),
+        "knn": (222, "d9a28f563b72c7c9"),
         "window_exact": (249, "9b40896098b747d5"),
         "knn_exact": (113, "d9a28f563b72c7c9"),
         "insert": (0, "617e12ec0d4d6ad1"),
-        "delete": (2765, "7317b738e08feaf7"),
+        "delete": (1236, "7317b738e08feaf7"),
     },
     ("ZM", "skewed"): {
         "point": (2608, "471132481522e959"),
@@ -126,14 +126,14 @@ PINNED = {
         "delete": (1855, "7317b738e08feaf7"),
     },
     ("RSMI", "osm"): {
-        "point": (1669, "471132481522e959"),
-        "absent": (3582, "822b3054d3166027"),
-        "window": (722, "84c115d5551a96a2"),
-        "knn": (635, "8afc9106fee0c4af"),
+        "point": (500, "471132481522e959"),
+        "absent": (596, "822b3054d3166027"),
+        "window": (383, "84c115d5551a96a2"),
+        "knn": (292, "8afc9106fee0c4af"),
         "window_exact": (493, "05a140f2bd33f68d"),
         "knn_exact": (141, "8afc9106fee0c4af"),
         "insert": (0, "66c5d4baabe4f29c"),
-        "delete": (2475, "7317b738e08feaf7"),
+        "delete": (1171, "7317b738e08feaf7"),
     },
     ("ZM", "osm"): {
         "point": (2632, "471132481522e959"),

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.geo import mbr as M
 from repro.storage.blocks import Block, BlockFile
 
 
@@ -186,6 +187,20 @@ def test_mbr_of_includes_overflow():
     bf.insert_into(0, 55, 7.0, 9.0)
     m = bf.mbrs[0]
     assert m[2] == 7.0 and m[3] == 9.0
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 95, 100])
+def test_pack_mbrs_equal_per_block_reference(n):
+    """``pack``'s one-pass MBRs are bit for bit each block's own MBR, for a
+    run appended after earlier blocks too."""
+    bf, *_ = _bf(7, 10, seed=1)
+    rng = np.random.default_rng(n)
+    xs, ys = rng.normal(0, 1e3, n), rng.random(n)
+    base = bf.pack(np.arange(n), xs, ys)
+    assert base == 1
+    for i in range(base, bf.n_primary):
+        b = bf.blocks[i]
+        assert tuple(bf.mbrs[i]) == M.of_points(b.live_xs, b.live_ys)
 
 
 def test_block_mbr_empty():

@@ -1,9 +1,15 @@
 """RSMI point / window / kNN query tests (Algorithms 1–3 + RSMIa)."""
+import copy
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from repro import workloads
-from tests.conftest import DISTS
+from repro.baselines.api import center_out
+from repro.core.rsmi import RSMI
+from tests.conftest import DISTS, make_dataset, small_rsmi_params
+from tests.test_block_accesses import new_points
 
 
 # ---------------------------------------------------------------------------
@@ -163,3 +169,86 @@ def test_knn_results_sorted_by_distance(built_indices, datasets):
     got = idx.knn_query(0.4, 0.6, 25)
     d = np.hypot(xy[got, 0] - 0.4, xy[got, 1] - 0.6)
     assert np.all(np.diff(d) >= -1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The block-MBR filter: it drops reads, never answers
+# ---------------------------------------------------------------------------
+
+def _costed(idx, fn, *args):
+    """``fn(*args)`` and the block accesses it made."""
+    idx.reset_stats()
+    out = fn(*args)
+    return out, idx.block_accesses
+
+
+def _alg1_range(idx, x, y):
+    """Algorithm 1's whole error range for (x, y), predicted block first."""
+    leaf, _ = idx._descend(x, y)
+    return center_out(*leaf.search_range(x, y))
+
+
+def _check_points(idx, pts, live):
+    """Each point query returns what a lookup over the whole error range
+    returns, a live id at (x, y) or None when there is none, and reads no
+    more blocks than that lookup."""
+    for x, y in pts:
+        got, cost = _costed(idx, idx.point_query, x, y)
+        want, width = _costed(idx, idx.bf.find, _alg1_range(idx, x, y), x, y)
+        assert got == want and cost <= width
+        assert got in live[x, y] if live[x, y] else got is None
+
+
+def _check_windows(idx, rects):
+    """Each window returns what a scan of Algorithm 1's block range returns,
+    in the same order, and reads no more blocks than that scan."""
+    for r in rects:
+        got, cost = _costed(idx, idx.window_query, *r)
+        begin, end = idx._corner_bounds(*r)
+        want, width = _costed(idx, idx.bf.scan, range(begin, end + 1), r)
+        assert np.array_equal(got, want[0]) and cost <= width
+
+
+def _check_deletes(idx, pts, live):
+    """Each delete removes what a removal over the whole error range of a
+    copy removes, a live id at (x, y), and probes no more blocks."""
+    ref = copy.deepcopy(idx)
+    for x, y in pts:
+        want, width = _costed(ref, ref.bf.remove, _alg1_range(ref, x, y), x, y)
+        got, cost = _costed(idx, idx.delete, x, y)
+        assert got == want and cost <= width and got in live[x, y]
+        live[x, y].discard(got)
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_mbr_filter_drops_reads_not_answers(datasets, dist):
+    """Point queries, windows and deletes answer as Algorithm 1's whole
+    range does, at build, after the pinned inserts, after every 5th base
+    point is deleted, and over the live leaves after an RSMIr rebuild."""
+    ids, xy = datasets[dist]
+    idx = RSMI(small_rsmi_params()).build(ids, xy)
+    live = defaultdict(set)
+    for pid, (x, y) in zip(ids.tolist(), xy.tolist()):
+        live[x, y].add(pid)
+    probes = [tuple(p) for p in xy[::7].tolist()]
+    probes += [(x + 1e-7, y) for x, y in probes]  # never indexed
+    rects = [tuple(r) for r in workloads.window_queries(xy, 30, size_pct=0.5, seed=11).tolist()]
+
+    def check(pts):
+        _check_points(idx, pts, live)
+        _check_windows(idx, rects)
+
+    check(probes)
+    added = [(int(pid), x, y) for pid, x, y in new_points(ids, xy).tolist()]
+    for pid, x, y in added:
+        idx.insert(pid, x, y)
+        live[x, y].add(pid)
+    check(probes + [(x, y) for _, x, y in added])
+    _check_deletes(idx, [tuple(p) for p in xy[::5].tolist()], live)
+    check(probes + [(x, y) for _, x, y in added])
+    _, nxy = make_dataset(dist, 3000, 7)
+    for pid, (x, y) in enumerate(nxy.tolist(), start=2 * len(ids)):
+        idx.insert(pid, x, y)
+        live[x, y].add(pid)
+    assert idx.rebuild_oversized() > 0
+    check(probes + [(x, y) for _, x, y in added] + [tuple(p) for p in nxy[::7].tolist()])

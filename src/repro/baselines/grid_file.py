@@ -31,7 +31,7 @@ class GridFile(SpatialIndex):
         self.n_points = n
         self.nc = max(1, int(np.ceil(np.sqrt(n / self.bf.cap))))
         self.bbox = M.of_points(xy[:, 0], xy[:, 1])
-        cx, cy = self._cell_of(xy[:, 0], xy[:, 1])
+        cx, cy = M.cells(self.bbox, self.nc, xy[:, 0], xy[:, 1])
         cell = cx * self.nc + cy
         order = np.lexsort((ids, cell))
         cell_s, ids_s, xy_s = cell[order], ids[order], xy[order]
@@ -46,8 +46,8 @@ class GridFile(SpatialIndex):
         self.build_seconds = time.perf_counter() - t0
         return self
 
-    def _cell_of(self, x, y):
-        return M.cells(self.bbox, self.nc, x, y)
+    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
+        return M.cell(self.bbox, self.nc, x, y)
 
     def _cell_rect(self, cx: int, cy: int):
         xlo, ylo, xhi, yhi = self.bbox
@@ -58,7 +58,7 @@ class GridFile(SpatialIndex):
     # ------------------------------------------------------------------
     def _cell_blocks_of(self, x: float, y: float) -> list[int]:
         cx, cy = self._cell_of(x, y)
-        return self.cell_blocks.get(int(cx) * self.nc + int(cy), [])
+        return self.cell_blocks.get(cx * self.nc + cy, [])
 
     def point_query(self, x: float, y: float):
         return self.bf.find(self._cell_blocks_of(x, y), x, y)
@@ -68,8 +68,8 @@ class GridFile(SpatialIndex):
         cx1, cy1 = self._cell_of(xhi, yhi)
         blocks = (
             i
-            for cx in range(int(cx0), int(cx1) + 1)
-            for cy in range(int(cy0), int(cy1) + 1)
+            for cx in range(cx0, cx1 + 1)
+            for cy in range(cy0, cy1 + 1)
             for i in self.cell_blocks.get(cx * self.nc + cy, ())
         )
         return self.bf.scan(blocks, (xlo, ylo, xhi, yhi))[0]
@@ -78,7 +78,7 @@ class GridFile(SpatialIndex):
         """Best-first over cells by MINDIST, from the query's cell out to
         its unseen 4-neighbours (the paper notes the kNNs may spread over
         multiple cells, making Grid uncompetitive)."""
-        start = tuple(int(c) for c in self._cell_of(x, y))
+        start = self._cell_of(x, y)
         seen = {start}
 
         def expand(cell):
@@ -96,7 +96,7 @@ class GridFile(SpatialIndex):
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
         cx, cy = self._cell_of(x, y)
-        cell = int(cx) * self.nc + int(cy)
+        cell = cx * self.nc + cy
         blocks = self.cell_blocks.get(cell)
         if blocks is None:
             base = self.bf.pack(

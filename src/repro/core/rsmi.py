@@ -243,6 +243,10 @@ class RSMI(SpatialIndex):
         runner = runner or serial_runner
         ids = np.asarray(ids, dtype=np.int64)
         xy = np.asarray(xy, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"row {i} (id {ids[i]}) is not finite: {tuple(xy[i].tolist())}")
         self.n_points = len(ids)
         self.pmf_x = PiecewiseCDF(xy[:, 0], self.params.gamma)
         self.pmf_y = PiecewiseCDF(xy[:, 1], self.params.gamma)

@@ -9,6 +9,13 @@ fewer iterations; the substitution is documented in DESIGN.md). Error
 bounds derived after training keep queries correct regardless of the
 optimiser used.
 
+One training epoch is a handful of whole-array numpy operations: the
+weights are views of one flat parameter vector and the gradients views of
+another, so one Adam step covers all four parameter arrays, and the
+sigmoid needs no boolean mask. Each operation keeps the operands and order
+of the per-array formulas, so the trained weights are the same bits
+(``tests/test_mlp.py`` keeps the per-array loop as the oracle).
+
 numpy trains; one scalar forward pass in Python floats, :func:`_forward`,
 is the only inference rule. ``predict`` applies it to each row of a
 matrix and ``predict_one`` to one point, so the build's groups and error
@@ -35,12 +42,15 @@ def hidden_for(n_classes: int, n_in: int = 2) -> int:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function without overflow: ``1 / (1 + e)`` for
+    ``z >= 0`` and ``e / (1 + e)`` below, where ``e = exp(-|z|)``. One
+    ``exp`` over the whole array serves both branches (``-|z|`` is exactly
+    ``-z`` or ``z``), so no element is gathered or scattered by a mask."""
+    e = np.exp(np.copysign(z, -1.0))  # exp(-|z|)
+    h = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    h /= e
+    return h
 
 
 def _forward(rows: tuple, b2: float, x: float, y: float) -> float:
@@ -107,33 +117,52 @@ class MLP:
         n = len(X)
         if n == 0:
             return 0.0
-        params = [self.W1, self.b1, self.W2, self.b2]
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
+        # The weights become views of one flat vector and the gradients
+        # views of another, so that Adam runs once over all parameters.
+        theta, params = self._flat()
+        for view, p in zip(params, (self.W1, self.b1, self.W2, self.b2)):
+            view[...] = p
+        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2 = params
+        g, (gW1, gb1, gW2, gb2) = self._flat()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
         b1m, b2m, eps = 0.9, 0.999, 1e-8
-        loss = 0.0
+        err = None
         for t in range(1, epochs + 1):
-            h_in = X @ self.W1 + self.b1
-            h = _sigmoid(h_in)
-            pred = h @ self.W2 + self.b2
-            err = pred - y
-            loss = float(np.mean(err**2))
+            # In-place steps spare the (n, H) temporaries; each IEEE
+            # operation and its operand order is that of the plain formulas.
+            z = X @ W1
+            z += b1
+            h = _sigmoid(z)
+            err = h @ W2
+            err += b2
+            err -= y
             # backprop
             g_pred = 2.0 * err / n
-            gW2 = h.T @ g_pred
-            gb2 = g_pred.sum(axis=0)
-            g_h = g_pred @ self.W2.T * h * (1.0 - h)
-            gW1 = X.T @ g_h
-            gb1 = g_h.sum(axis=0)
-            grads = [gW1, gb1, gW2, gb2]
-            for i, (p, g) in enumerate(zip(params, grads)):
-                m[i] = b1m * m[i] + (1 - b1m) * g
-                v[i] = b2m * v[i] + (1 - b2m) * g * g
-                mh = m[i] / (1 - b1m**t)
-                vh = v[i] / (1 - b2m**t)
-                p -= lr * mh / (np.sqrt(vh) + eps)
+            np.matmul(h.T, g_pred, out=gW2)
+            g_pred.sum(axis=0, out=gb2)
+            g_h = g_pred @ W2.T
+            g_h *= h
+            g_h *= 1.0 - h
+            np.matmul(X.T, g_h, out=gW1)
+            g_h.sum(axis=0, out=gb1)
+            m = b1m * m + (1 - b1m) * g
+            v = b2m * v + (1 - b2m) * g * g
+            theta -= lr * (m / (1 - b1m**t)) / (np.sqrt(v / (1 - b2m**t)) + eps)
         self._set_rows()
-        return loss
+        return 0.0 if err is None else float(np.mean(err**2))
+
+    def _flat(self) -> tuple:
+        """A zero vector and its ``W1, b1, W2, b2`` shaped views. Each view
+        starts on a 16-byte boundary, as a freshly allocated array does:
+        OpenBLAS's dot kernel, which a one-row fit calls, sums in an order
+        that depends on that alignment. The padding stays zero."""
+        H = self.hidden
+        sizes = (self.n_in * H, H, H, 1)
+        offs = np.cumsum([0] + [s + s % 2 for s in sizes]).tolist()
+        flat = np.zeros(offs[-1])
+        W1, b1, W2, b2 = (flat[a : a + s] for a, s in zip(offs, sizes))
+        return flat, (W1.reshape(self.n_in, H), b1, W2.reshape(H, 1), b2)
 
     # -- inference ---------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:

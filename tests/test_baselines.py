@@ -7,6 +7,7 @@ from repro.baselines.kdb_tree import KDBTree
 from repro.baselines.rstar import RStarTree, _split_mbrs
 from repro.baselines.rtree import HRRTree, TNode
 from repro.baselines.zm import ZM, ZMParams
+from repro.geo import mbr as M
 from tests.conftest import make_dataset
 
 ALL = ("ZM", "Grid", "KDB", "HRR", "RR*")
@@ -98,6 +99,20 @@ def test_grid_insert_into_empty_cell(index_factory):
     idx, _, _ = index_factory("Grid", "skewed")
     idx.insert(7777, 0.01, 0.999)  # sparse corner for skewed data
     assert idx.point_query(0.01, 0.999) == 7777
+
+
+def test_grid_scalar_cell_equals_array_cells(built_indices):
+    """One point's grid cell, on Python floats, is the build's array
+    quantisation, in and around the data space and at unbounded or NaN
+    corners, also on a zero-width bbox side."""
+    idx = built_indices("Grid", "skewed")
+    xy = np.random.default_rng(5).uniform(-0.1, 1.1, (20_000, 2))
+    far = [np.inf, -np.inf, 1e300, -1e300, np.nan, 0.0, 0.3]
+    xy = np.concatenate([xy, [(a, b) for a in far for b in far]])
+    for bbox in (idx.bbox, (0.2, 0.4, 0.2, 0.9)):
+        cx, cy = M.cells(bbox, idx.nc, xy[:, 0], xy[:, 1])
+        want = list(zip(cx.tolist(), cy.tolist()))
+        assert [M.cell(bbox, idx.nc, x, y) for x, y in xy.tolist()] == want
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.ml.mlp import MLP, hidden_for
+from repro.ml.mlp import MLP, _sigmoid, hidden_for
 
 
 def test_hidden_for_matches_paper():
@@ -125,3 +125,89 @@ def test_extreme_inputs_do_not_overflow():
     m1 = MLP(1, 8, seed=0)
     assert np.isfinite(m1.predict_one(1e6)) and np.isfinite(m1.predict_one(-1e6))
     assert np.all(np.isfinite(m1.predict(np.array([[1e6], [-1e6], [0.0]]))))
+
+
+# -- the flat-vector Adam against the per-array loop it replaced -----------
+
+def _sigmoid_masked(z):
+    """The boolean-mask sigmoid the training loop used before, frozen."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _fit_per_array(m, X, y, epochs, lr=0.03):
+    """The per-array Adam loop ``MLP.fit`` ran before, frozen as the oracle:
+    four parameter arrays, a loss every epoch, the masked sigmoid."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    n = len(X)
+    if n == 0:
+        return 0.0
+    params = [m.W1, m.b1, m.W2, m.b2]
+    mo = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1m, b2m, eps = 0.9, 0.999, 1e-8
+    loss = 0.0
+    for t in range(1, epochs + 1):
+        h_in = X @ m.W1 + m.b1
+        h = _sigmoid_masked(h_in)
+        pred = h @ m.W2 + m.b2
+        err = pred - y
+        loss = float(np.mean(err**2))
+        g_pred = 2.0 * err / n
+        gW2 = h.T @ g_pred
+        gb2 = g_pred.sum(axis=0)
+        g_h = g_pred @ m.W2.T * h * (1.0 - h)
+        gW1 = X.T @ g_h
+        gb1 = g_h.sum(axis=0)
+        for i, (p, g) in enumerate(zip(params, [gW1, gb1, gW2, gb2])):
+            mo[i] = b1m * mo[i] + (1 - b1m) * g
+            v[i] = b2m * v[i] + (1 - b2m) * g * g
+            mh = mo[i] / (1 - b1m**t)
+            vh = v[i] / (1 - b2m**t)
+            p -= lr * mh / (np.sqrt(vh) + eps)
+    return loss
+
+
+def _fit_cases():
+    rng = np.random.default_rng(12)
+    for n_in in (1, 2):
+        for hidden in (4, 13, 33, 51):
+            for n in (1, 2, 37, 3000):
+                X = rng.random((n, n_in))
+                yield n_in, hidden, X, X.sum(axis=1) / n_in, "cdf"
+            X = rng.random((37, n_in))
+            X[:, 0] = 0.25  # a constant column
+            yield n_in, hidden, X, rng.random(37), "const"
+            # A target the sigmoid layer cannot reach drives units to saturation.
+            X = rng.random((37, n_in))
+            yield n_in, hidden, X * 40.0 - 20.0, np.where(X[:, 0] > 0.5, 50.0, -50.0), "sat"
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 50])
+def test_fit_bit_identical_to_reference(epochs):
+    """One flat Adam step and the mask-free sigmoid give the weights and
+    the loss of the per-array loop bit for bit."""
+    for n_in, hidden, X, y, kind in _fit_cases():
+        new, ref = MLP(n_in, hidden, seed=3), MLP(n_in, hidden, seed=3)
+        loss = new.fit(X, y, epochs=epochs, lr=0.05)
+        want = _fit_per_array(ref, X, y, epochs, lr=0.05)
+        case = (n_in, hidden, len(X), kind, epochs)
+        assert loss == want, case
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), (name, case)
+        assert new.predict_one(0.3, 0.6) == MLP.from_state(ref.state()).predict_one(0.3, 0.6)
+
+
+def test_sigmoid_equals_masked_form():
+    edges = [0.0, 1e-300, 30.0, 745.0, 800.0, np.inf]
+    z = np.array(edges + [-e for e in edges] + [np.nan])
+    z = np.concatenate([z, np.random.default_rng(0).normal(0.0, 20.0, 10_000)])
+    got, want = _sigmoid(z), _sigmoid_masked(z)
+    assert np.array_equal(np.isnan(got), np.isnan(z))
+    real = ~np.isnan(z)
+    assert np.array_equal(got[real].view(np.uint64), want[real].view(np.uint64))

@@ -201,3 +201,17 @@ def test_forced_leaf_on_degenerate_split():
     idx = RSMI(RSMIParams(B=20, N=100, epochs_leaf=30, epochs_inner=30)).build(ids, xy)
     got, _, _ = idx.bf.all_points()
     assert sorted(got.tolist()) == sorted(ids.tolist())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_build_rejects_non_finite_before_training(bad):
+    """A NaN or infinite coordinate is refused up front, naming the first
+    bad row, before any training task runs."""
+    ids, xy = make_dataset("uniform", 600, 1)
+    xy = xy.copy()
+    xy[417, 1] = bad
+    xy[500, 0] = bad
+    tasks = []
+    with pytest.raises(ValueError, match=r"^row 417 \(id 417\) is not finite"):
+        RSMI(small_rsmi_params()).build(ids, xy, runner=lambda t, p: tasks.extend(t))
+    assert tasks == []

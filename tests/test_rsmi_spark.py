@@ -89,3 +89,11 @@ def test_spark_build_from_unsorted_dataframe(spark):
 
 def test_spark_runner_empty_tasks(spark):
     assert spark_runner(spark)([], small_rsmi_params()) == []
+
+
+def test_spark_build_rejects_non_finite(spark):
+    """The Spark build goes through ``RSMI.build``, so it refuses a NaN row
+    by id before shipping any training task."""
+    df = spark.createDataFrame([(1, 0.5, 0.5), (2, float("nan"), 0.1)], ["id", "x", "y"])
+    with pytest.raises(ValueError, match=r"\(id 2\) is not finite"):
+        build_rsmi_spark(spark, df, small_rsmi_params())

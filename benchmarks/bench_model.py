@@ -8,6 +8,8 @@ two-level RSMI) and a window query four times as many, one descent per
 corner, so these figures give what model evaluation costs an operation.
 Training is most of a build: one root fit (n = 20k, H = 33, 150 epochs)
 and about 54 leaf fits (a few hundred rows, H = 4, 500 epochs).
+``PiecewiseCDF.slope_alpha`` at γ = 100 sizes every kNN query's first
+window, twice per query (α_x and α_y).
 Run with ``OPENBLAS_NUM_THREADS=1 pytest benchmarks/bench_model.py
 --benchmark-only``; one BLAS thread is what ``rsmi_bench`` pins.
 """
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.ml.mlp import MLP
+from repro.ml.pmf import PiecewiseCDF
 
 WIDTHS = (4, 33, 51)
 
@@ -60,3 +63,14 @@ def test_fit(benchmark, shape):
         setup=lambda: ((MLP(2, hidden, seed=0),), {}),
         rounds=10 if shape == "leaf" else 3,
     )
+
+
+def test_slope_alpha(benchmark, points):
+    cdf = PiecewiseCDF(points[:, 1] ** 4, gamma=100)  # a skewed dimension
+    it = itertools.cycle(points[:1000, 0].tolist())
+
+    def op():
+        return cdf.slope_alpha(next(it))
+
+    benchmark.group = "slope_alpha"
+    benchmark(op)

@@ -64,6 +64,20 @@ class SpatialIndex:
         raise NotImplementedError
 
 
+def as_points(ids, xy) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` as int64 and ``xy`` as float64 arrays, for a build. Raises
+    ValueError naming the first row with a NaN or infinite coordinate: no
+    index can place one, and a NaN that reaches a block MBR fails every
+    test against it, so the block's other points are lost to queries."""
+    ids = np.asarray(ids, dtype=np.int64)
+    xy = np.asarray(xy, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"row {i} (id {ids[i]}) is not finite: {tuple(xy[i].tolist())}")
+    return ids, xy
+
+
 def center_out(j: int, lo: int, hi: int) -> Iterable[int]:
     """Positions ``lo..hi`` ordered by distance from ``j`` — scanning the
     predicted block first keeps the average access count near 1 when the
@@ -82,6 +96,11 @@ def center_out(j: int, lo: int, hi: int) -> Iterable[int]:
 WindowFn = Callable[[float, float, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+# Safety cap on Algorithm 3's rounds; the region at least doubles each
+# round, so real queries stop after a few.
+MAX_ROUNDS = 40
+
+
 def expansion_knn(
     x: float,
     y: float,
@@ -90,7 +109,6 @@ def expansion_knn(
     pmf_x: PiecewiseCDF,
     pmf_y: PiecewiseCDF,
     window_fn: WindowFn,
-    max_rounds: int = 40,
 ) -> np.ndarray:
     """Paper Algorithm 3: expanding-window approximate kNN.
 
@@ -99,6 +117,14 @@ def expansion_knn(
     runs a window query; the region doubles while fewer than k candidates
     are known, or grows to ``2 * dist(q, Q[k])`` while the k-th candidate
     could still be beaten by a point outside the region.
+
+    Each round's points are merged into the best-k set: once it holds k
+    entries only points nearer than the k-th can enter, and of those the
+    ones already in the set are dropped. That keeps exactly the points a
+    merge of every point seen so far would keep. A point that left the set,
+    or never entered a full one, is no nearer than the k-th, which never
+    grows; one that ties the k-th would sort after the set in the stable
+    sort, as it does when it arrives fresh.
     """
     if k <= 0 or n == 0:
         return np.empty(0, dtype=np.int64)
@@ -109,22 +135,21 @@ def expansion_knn(
 
     best_ids = np.empty(0, dtype=np.int64)
     best_d = np.empty(0)
-    seen: set[int] = set()
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         ids, xs, ys = window_fn(x - width / 2, y - height / 2, x + width / 2, y + height / 2)
+        d = np.hypot(xs - x, ys - y)
+        if best_ids.size == k_eff:
+            m = d < best_d[-1]
+            ids, d = ids[m], d[m]
+        if best_ids.size and ids.size:
+            have = set(best_ids.tolist())
+            m = [pid not in have for pid in ids.tolist()]
+            ids, d = ids[m], d[m]
         if ids.size:
-            fresh = np.fromiter(
-                (i for i, pid in enumerate(ids) if int(pid) not in seen),
-                dtype=np.int64,
-                count=-1,
-            )
-            if fresh.size:
-                seen.update(int(p) for p in ids[fresh])
-                d = np.hypot(xs[fresh] - x, ys[fresh] - y)
-                best_ids = np.concatenate([best_ids, ids[fresh]])
-                best_d = np.concatenate([best_d, d])
-                keep = np.argsort(best_d, kind="stable")[:k_eff]
-                best_ids, best_d = best_ids[keep], best_d[keep]
+            best_ids = np.concatenate([best_ids, ids])
+            best_d = np.concatenate([best_d, d])
+            keep = np.argsort(best_d, kind="stable")[:k_eff]
+            best_ids, best_d = best_ids[keep], best_d[keep]
         if best_ids.size < k_eff:
             width *= 2
             height *= 2

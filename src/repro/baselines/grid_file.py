@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, best_first_knn
+from repro.baselines.api import SpatialIndex, as_points, best_first_knn
 from repro.geo import mbr as M
 
 
@@ -25,8 +25,7 @@ class GridFile(SpatialIndex):
     # ------------------------------------------------------------------
     def build(self, ids: np.ndarray, xy: np.ndarray) -> "GridFile":
         t0 = time.perf_counter()
-        ids = np.asarray(ids, dtype=np.int64)
-        xy = np.asarray(xy, dtype=np.float64)
+        ids, xy = as_points(ids, xy)
         n = len(ids)
         self.n_points = n
         self.nc = max(1, int(np.ceil(np.sqrt(n / self.bf.cap))))

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from repro.baselines.api import as_points
 from repro.baselines.rtree import TNode, TreeIndex
 
 
@@ -26,8 +27,7 @@ class KDBTree(TreeIndex):
 
     def build(self, ids: np.ndarray, xy: np.ndarray) -> "KDBTree":
         t0 = time.perf_counter()
-        ids = np.asarray(ids, dtype=np.int64)
-        xy = np.asarray(xy, dtype=np.float64)
+        ids, xy = as_points(ids, xy)
         self.n_points = len(ids)
         n = len(ids)
         B, F = self.bf.cap, self.fanout

@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 
+from repro.baselines.api import as_points
 from repro.baselines.rtree import TNode, TreeIndex
 from repro.geo import mbr as M
 
@@ -76,8 +77,7 @@ class RStarTree(TreeIndex):
         """Construction *is* repeated insertion — that is the experiment
         (paper Fig. 7b shows RR* as the slowest traditional build)."""
         t0 = time.perf_counter()
-        ids = np.asarray(ids, dtype=np.int64)
-        xy = np.asarray(xy, dtype=np.float64)
+        ids, xy = as_points(ids, xy)
         blk = self.bf.pack(
             np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
         )

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, best_first_knn
+from repro.baselines.api import SpatialIndex, as_points, best_first_knn
 from repro.geo import mbr as M
 from repro.geo.rank_space import rank_space_order_np
 
@@ -148,8 +148,7 @@ class HRRTree(TreeIndex):
 
     def build(self, ids: np.ndarray, xy: np.ndarray) -> "HRRTree":
         t0 = time.perf_counter()
-        ids = np.asarray(ids, dtype=np.int64)
-        xy = np.asarray(xy, dtype=np.float64)
+        ids, xy = as_points(ids, xy)
         self.n_points = len(ids)
         order = rank_space_order_np(xy[:, 0], xy[:, 1], "hilbert")
         ids_s, xy_s = ids[order], xy[order]

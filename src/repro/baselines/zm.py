@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, expansion_knn
+from repro.baselines.api import SpatialIndex, as_points, expansion_knn
 from repro.geo import mbr as M
 from repro.geo.sfc import z_encode, z_encode_one
 from repro.ml.mlp import MLP, hidden_for
@@ -59,8 +59,7 @@ class ZM(SpatialIndex):
     def build(self, ids: np.ndarray, xy: np.ndarray) -> "ZM":
         t0 = time.perf_counter()
         p = self.params
-        ids = np.asarray(ids, dtype=np.int64)
-        xy = np.asarray(xy, dtype=np.float64)
+        ids, xy = as_points(ids, xy)
         n = len(ids)
         self.n_points = n
         self.bbox = M.of_points(xy[:, 0], xy[:, 1])

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.baselines.api import (
     SpatialIndex,
+    as_points,
     best_first_knn,
     center_out,
     expansion_knn,
@@ -241,12 +242,7 @@ class RSMI(SpatialIndex):
         executes one level's training tasks; defaults to in-process."""
         t0 = time.perf_counter()
         runner = runner or serial_runner
-        ids = np.asarray(ids, dtype=np.int64)
-        xy = np.asarray(xy, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
-        if len(bad):
-            i = bad[0]
-            raise ValueError(f"row {i} (id {ids[i]}) is not finite: {tuple(xy[i].tolist())}")
+        ids, xy = as_points(ids, xy)
         self.n_points = len(ids)
         self.pmf_x = PiecewiseCDF(xy[:, 0], self.params.gamma)
         self.pmf_y = PiecewiseCDF(xy[:, 1], self.params.gamma)

@@ -234,8 +234,18 @@ class BlockFile:
     # -- updates -----------------------------------------------------------
     def insert_into(self, i: int, pid: int, x: float, y: float) -> bool:
         """Insert into primary block ``i`` or its chain; returns True if a
-        new overflow block had to be created."""
-        self._mbrs[i] = M.expand(self._mbrs[i], x, y)
+        new overflow block had to be created. The chain's MBR grows in
+        place by the tests of ``min`` and ``max``, one row read as floats."""
+        row = self._mbrs[i]
+        xlo, ylo, xhi, yhi = row.tolist()
+        if x < xlo:
+            row[0] = x
+        if y < ylo:
+            row[1] = y
+        if x > xhi:
+            row[2] = x
+        if y > yhi:
+            row[3] = y
         for b in self.chain_uncounted(i):
             if b.add(pid, x, y):
                 return False

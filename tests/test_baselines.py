@@ -8,7 +8,7 @@ from repro.baselines.rstar import RStarTree, _split_mbrs
 from repro.baselines.rtree import HRRTree, TNode
 from repro.baselines.zm import ZM, ZMParams
 from repro.geo import mbr as M
-from tests.conftest import make_dataset
+from tests.conftest import _build, make_dataset
 
 ALL = ("ZM", "Grid", "KDB", "HRR", "RR*")
 
@@ -222,3 +222,16 @@ def test_size_and_height_positive(built_indices, name):
     assert idx.size_bytes() > 0
     assert idx.height >= 1
     assert idx.build_seconds > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ALL + ("RSMI",))
+def test_build_rejects_non_finite(name, bad):
+    """Every build refuses a NaN or infinite coordinate, naming the first
+    bad row, instead of indexing it and losing a block of other points."""
+    ids, xy = make_dataset("uniform", 400, 2)
+    xy = xy.copy()
+    xy[17] = (bad, 0.5)
+    xy[300, 1] = bad
+    with pytest.raises(ValueError, match=r"^row 17 \(id 17\) is not finite: "):
+        _build(name, ids, xy)

@@ -7,6 +7,7 @@ Grid and RSMIa.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -78,6 +79,16 @@ def as_points(ids, xy) -> tuple[np.ndarray, np.ndarray]:
     return ids, xy
 
 
+def as_point(x, y) -> tuple[float, float]:
+    """``(x, y)`` as Python floats, for an insert. Raises ValueError naming
+    the point when a coordinate is NaN or infinite, before the index writes
+    anything: as in a build, no index can place one."""
+    x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point {(x, y)} is not finite")
+    return x, y
+
+
 def center_out(j: int, lo: int, hi: int) -> Iterable[int]:
     """Positions ``lo..hi`` ordered by distance from ``j`` — scanning the
     predicted block first keeps the average access count near 1 when the
@@ -125,11 +136,16 @@ def expansion_knn(
     or never entered a full one, is no nearer than the k-th, which never
     grows; one that ties the k-th would sort after the set in the stable
     sort, as it does when it arrives fresh.
+
+    The query point and the region are Python floats (``math.sqrt``, and
+    the k-th distance read with ``float``), so every window round's corners
+    reach the index's models as floats, not numpy scalars.
     """
     if k <= 0 or n == 0:
         return np.empty(0, dtype=np.int64)
+    x, y = float(x), float(y)
     k_eff = min(k, n)
-    base = np.sqrt(k_eff / max(n, 1))
+    base = math.sqrt(k_eff / max(n, 1))
     width = max(1e-9, pmf_x.slope_alpha(x) * base)
     height = max(1e-9, pmf_y.slope_alpha(y) * base)
 
@@ -159,7 +175,7 @@ def expansion_knn(
             # exits while the k-NN circle pokes out of the short side, so
             # we test the inscribed half-extent instead — at most one
             # extra round, and the final region always covers the circle.
-            width = height = 2 * best_d[-1]
+            width = height = 2 * float(best_d[-1])
         else:
             break
     return best_ids

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, as_points, best_first_knn
+from repro.baselines.api import SpatialIndex, as_point, as_points, best_first_knn
 from repro.geo import mbr as M
 
 
@@ -94,12 +94,13 @@ class GridFile(SpatialIndex):
 
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
+        x, y = as_point(x, y)
         cx, cy = self._cell_of(x, y)
         cell = cx * self.nc + cy
         blocks = self.cell_blocks.get(cell)
         if blocks is None:
             base = self.bf.pack(
-                np.array([pid]), np.array([float(x)]), np.array([float(y)])
+                np.array([pid]), np.array([x]), np.array([y])
             )
             self.cell_blocks[cell] = [base]
         else:

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.api import as_points
+from repro.baselines.api import as_point, as_points
 from repro.baselines.rtree import TNode, TreeIndex
 from repro.geo import mbr as M
 
@@ -89,6 +89,7 @@ class RStarTree(TreeIndex):
 
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
+        x, y = as_point(x, y)
         self._reinsert_done = False
         self._grow_root(self._insert(self.root, pid, x, y))
         self.n_points += 1

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, as_points, best_first_knn
+from repro.baselines.api import SpatialIndex, as_point, as_points, best_first_knn
 from repro.geo import mbr as M
 from repro.geo.rank_space import rank_space_order_np
 
@@ -103,6 +103,7 @@ class TreeIndex(SpatialIndex):
         (classic R-tree ChooseLeaf); a full leaf grows an overflow chain.
         HRR and KDB are bulk-loaded, and the paper inserts into them via
         new linked blocks checked by tree traversal."""
+        x, y = as_point(x, y)
         path = [self.root]
         node = self.root
         while not node.is_leaf:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.api import SpatialIndex, as_points, expansion_knn
+from repro.baselines.api import SpatialIndex, as_point, as_points, expansion_knn
 from repro.geo import mbr as M
 from repro.geo.sfc import z_encode, z_encode_one
 from repro.ml.mlp import MLP, hidden_for
@@ -189,6 +189,7 @@ class ZM(SpatialIndex):
         ranges must grow to stay valid under insertions). Keeps point,
         window, and kNN queries correct at the cost of gradually wider
         scans, which is exactly the degradation the paper measures."""
+        x, y = as_point(x, y)
         z = self._z_of(x, y)
         pos = int(np.searchsorted(self._blk_zmin, z, side="right")) - 1
         blk = max(0, pos)

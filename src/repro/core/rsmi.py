@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.baselines.api import (
     SpatialIndex,
+    as_point,
     as_points,
     best_first_knn,
     center_out,
@@ -96,9 +97,13 @@ _FAR = 1e12
 def _slot(mlp: MLP, bbox: tuple, x: float, y: float, n: int) -> int:
     """The slot of one point. The same IEEE operations as :func:`_norm`
     and :func:`_slots` (``round`` and ``np.rint`` both round half to even),
-    so a query computes bit for bit what the build grouped and bounded."""
-    xn = (x - bbox[0]) / ((bbox[2] - bbox[0]) or 1.0)
-    yn = (y - bbox[1]) / ((bbox[3] - bbox[1]) or 1.0)
+    so a query computes bit for bit what the build grouped and bounded.
+
+    Every query-time model call passes here, so this is where coordinates
+    become Python floats: ``float`` of a numpy scalar is exact, and numpy
+    scalar arithmetic would cost twice as much per operation."""
+    xn = (float(x) - bbox[0]) / ((bbox[2] - bbox[0]) or 1.0)
+    yn = (float(y) - bbox[1]) / ((bbox[3] - bbox[1]) or 1.0)
     p = mlp.predict_one(xn, yn)
     if p != p:
         p = mlp.predict_one(min(max(xn, -_FAR), _FAR), min(max(yn, -_FAR), _FAR))
@@ -369,9 +374,10 @@ class RSMI(SpatialIndex):
     def window_query_blocks(self, xlo, ylo, xhi, yhi):
         """Candidate points of the blocks in the corners' range whose chain
         MBR meets the window (before the final containment filter); shared
-        by window and kNN paths."""
-        begin, end = self._corner_bounds(xlo, ylo, xhi, yhi)
-        return self.bf.scan(self.bf.meeting((xlo, ylo, xhi, yhi), begin, end))
+        by window and kNN paths. The rect is read as Python floats."""
+        rect = float(xlo), float(ylo), float(xhi), float(yhi)
+        begin, end = self._corner_bounds(*rect)
+        return self.bf.scan(self.bf.meeting(rect, begin, end))
 
     def _window_pts(self, xlo, ylo, xhi, yhi):
         ids, xs, ys = self.window_query_blocks(xlo, ylo, xhi, yhi)
@@ -430,6 +436,7 @@ class RSMI(SpatialIndex):
     # Updates (Section 5)
     # ------------------------------------------------------------------
     def insert(self, pid: int, x: float, y: float) -> None:
+        x, y = as_point(x, y)
         leaf, path = self._descend(x, y)
         self.bf.insert_into(leaf.base + leaf.predict_block(x, y), pid, x, y)
         leaf.mbr = M.expand(leaf.mbr, x, y)

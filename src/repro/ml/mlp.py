@@ -22,7 +22,11 @@ matrix and ``predict_one`` to one point, so the build's groups and error
 bounds come bit for bit from the function queries call. One call costs
 1-2 µs at 4 hidden units and grows with the width, where a numpy pass
 costs 11-20 µs at any width (``benchmarks/bench_model.py`` on a shared
-4-core Xeon, CPython 3.11).
+4-core Xeon, CPython 3.11). That cost assumes Python float inputs: on
+numpy scalars every operation of the loop runs as numpy scalar arithmetic
+at about twice the cost, for the same bits. RSMI's queries reach the
+models through ``core.rsmi._slot``, which is where coordinates become
+Python floats.
 
 Models are pickled when shipped to/from Spark executors; ``state`` /
 ``from_state`` give a stable plain-dict representation.

@@ -58,12 +58,20 @@ class Block:
     def live_ys(self) -> np.ndarray:
         return self.ys[: self.count]
 
+    def index_of(self, x: float, y: float) -> int:
+        """Slot of the first live point at exactly (x, y), else -1: one
+        compare over the live ``xs``, then ``ys`` only at its hits. As with
+        ``==``, NaN matches nothing and -0.0 matches 0.0."""
+        ys = self.ys
+        for i in np.flatnonzero(self.xs[: self.count] == x).tolist():
+            if ys[i] == y:
+                return i
+        return -1
+
     def find(self, x: float, y: float) -> int | None:
         """Id of the point with exactly these coordinates, else None."""
-        hit = np.flatnonzero((self.live_xs == x) & (self.live_ys == y))
-        if hit.size:
-            return int(self.ids[hit[0]])
-        return None
+        i = self.index_of(x, y)
+        return None if i < 0 else int(self.ids[i])
 
     def add(self, pid: int, x: float, y: float) -> bool:
         """Append a point; False when the block is full."""
@@ -258,10 +266,10 @@ class BlockFile:
         """Delete the point with these coordinates from block ``i``'s
         chain; returns its id, or None when absent."""
         for b in self.chain_uncounted(i):
-            hit = np.flatnonzero((b.live_xs == x) & (b.live_ys == y))
-            if hit.size:
-                pid = int(b.ids[hit[0]])
-                b.remove_at(int(hit[0]))
+            j = b.index_of(x, y)
+            if j >= 0:
+                pid = int(b.ids[j])
+                b.remove_at(j)
                 return pid
         return None
 

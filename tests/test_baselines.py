@@ -235,3 +235,21 @@ def test_build_rejects_non_finite(name, bad):
     xy[300, 1] = bad
     with pytest.raises(ValueError, match=r"^row 17 \(id 17\) is not finite: "):
         _build(name, ids, xy)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ALL + ("RSMI",))
+def test_insert_rejects_non_finite(name, bad):
+    """Every insert refuses a NaN or infinite coordinate, naming the point,
+    before it writes anything: the index still finds every point and keeps
+    its size."""
+    ids, xy = make_dataset("uniform", 400, 2)
+    idx = _build(name, ids, xy)
+    size = idx.size_bytes()
+    for j, (x, y) in enumerate([(bad, 0.5), (0.5, bad), (bad, bad)]):
+        with pytest.raises(ValueError, match=r"^point \(.+\) is not finite$"):
+            idx.insert(1000 + j, x, y)
+    assert idx.size_bytes() == size and idx.n_points == len(ids)
+    assert sorted(idx.bf.all_points()[0].tolist()) == ids.tolist()
+    for pid, (x, y) in zip(ids.tolist(), xy.tolist()):
+        assert idx.point_query(x, y) == pid

@@ -63,6 +63,25 @@ def test_block_find():
     assert b.find(-1.0, -1.0) is None
 
 
+def test_index_of_is_first_exact_match():
+    """``index_of`` gives the first slot the two-mask rule
+    ``(xs == x) & (ys == y)`` finds over the live prefix, or -1: shared
+    x values, duplicates, -0.0 against 0.0, NaN and slots past ``count``."""
+    pts = [(0.5, 0.1), (0.5, 0.2), (0.3, 0.2), (0.5, 0.2), (-0.0, 0.0),
+           (np.nan, 0.4), (0.6, np.nan), (0.0, -0.0), (0.7, 0.7), (0.9, 0.9)]
+    b = Block(12)
+    for pid, (x, y) in enumerate(pts):
+        b.add(100 + pid, x, y)
+    b.count = 9  # (0.9, 0.9) lingers past the live prefix
+    probes = pts + [(0.0, 0.0), (0.5, 0.3), (0.3, 0.1), (np.nan, np.nan), (1.0, 1.0)]
+    for x, y in probes:
+        hit = np.flatnonzero((b.live_xs == x) & (b.live_ys == y))
+        want = int(hit[0]) if hit.size else -1
+        assert b.index_of(x, y) == want, (x, y)
+        assert b.find(x, y) == (None if want < 0 else 100 + want)
+    assert [b.index_of(*p) for p in [(0.5, 0.2), (0.0, 0.0), (np.nan, 0.4), (0.9, 0.9)]] == [1, 4, -1, -1]
+
+
 def test_insert_into_with_space():
     bf, *_ = _bf(95, 10)  # last block has 5 points
     created = bf.insert_into(9, 1000, 0.5, 0.5)

@@ -8,6 +8,7 @@ import pytest
 from repro import workloads
 from repro.baselines.api import center_out
 from repro.core.rsmi import RSMI
+from repro.ml.mlp import MLP
 from tests.conftest import DISTS, make_dataset, small_rsmi_params
 from tests.test_block_accesses import new_points
 
@@ -252,3 +253,77 @@ def test_mbr_filter_drops_reads_not_answers(datasets, dist):
         live[x, y].add(pid)
     assert idx.rebuild_oversized() > 0
     check(probes + [(x, y) for _, x, y in added] + [tuple(p) for p in nxy[::7].tolist()])
+
+
+# ---------------------------------------------------------------------------
+# numpy scalars in, the same answers out; the models see Python floats
+# ---------------------------------------------------------------------------
+
+def _f64(args):
+    """``args`` with every float as a numpy scalar."""
+    return [np.float64(a) if isinstance(a, float) else a for a in args]
+
+
+def _same_on_f64(a, b, method, calls):
+    """``a.method(*args)`` on Python floats and ``b.method`` on numpy
+    scalars give the same answer, ids in the same order, at the same block
+    accesses."""
+    for args in calls:
+        want, wcost = _costed(a, getattr(a, method), *args)
+        got, gcost = _costed(b, getattr(b, method), *_f64(args))
+        if isinstance(want, np.ndarray):
+            assert got.tolist() == want.tolist(), (method, args)
+        else:
+            assert got == want, (method, args)
+        assert gcost == wcost, (method, args)
+
+
+def test_numpy_scalars_same_as_floats(index_factory):
+    """Point, window, kNN, insert and delete on ``np.float64`` arguments
+    answer and read exactly as on Python floats: RSMI for every operation,
+    ZM for kNN, which shares Algorithm 3."""
+    a, ids, xy = index_factory("RSMI")
+    b = copy.deepcopy(a)
+    pts = [tuple(p) for p in xy[::23].tolist()]
+    pts += [(x + 1e-7, y) for x, y in pts[:20]]  # never indexed
+    rects = [tuple(r) for r in workloads.window_queries(xy, 25, size_pct=0.5, seed=6).tolist()]
+    rects += [(-np.inf, -np.inf, np.inf, np.inf), (0.2, -np.inf, 0.3, np.inf)]
+    knn = [(x, y, k) for (x, y), k in zip(pts[:30], [1, 7, 25] * 10)]
+
+    def reads():
+        _same_on_f64(a, b, "point_query", pts)
+        _same_on_f64(a, b, "window_query", rects)
+        _same_on_f64(a, b, "knn_query", knn)
+
+    reads()
+    added = [(int(pid), x, y) for pid, x, y in new_points(ids, xy).tolist()]
+    _same_on_f64(a, b, "insert", added)
+    pts += [(x, y) for _, x, y in added[::9]]
+    reads()
+    _same_on_f64(a, b, "delete", pts[::2])
+    reads()
+    zm, _, _ = index_factory("ZM")
+    _same_on_f64(zm, copy.deepcopy(zm), "knn_query", knn)
+
+
+def test_models_see_python_floats(built_indices, datasets, monkeypatch):
+    """Every model call of a window on ``np.float64`` corners and of a kNN
+    query gets Python floats, so no query runs on numpy scalar arithmetic."""
+    idx = built_indices("RSMI", "skewed")
+    _, xy = datasets["skewed"]
+    seen = set()
+    predict_one = MLP.predict_one
+
+    def spy(self, x, y=0.0):
+        seen.add((type(x), type(y)))
+        return predict_one(self, x, y)
+
+    monkeypatch.setattr(MLP, "predict_one", spy)
+    for r in workloads.window_queries(xy, 10, size_pct=0.5, seed=7):
+        idx.window_query(*r)
+    assert seen == {(float, float)}
+    seen.clear()
+    for q in workloads.knn_query_points(xy, 10, seed=8):
+        idx.knn_query(float(q[0]), float(q[1]), 10)
+        idx.knn_query(q[0], q[1], 10)
+    assert seen == {(float, float)}
